@@ -70,11 +70,7 @@ def run_suite(
                 flush=True,
             )
             print(
-                f"[bench]   sat: restarts={metrics.get('sat_restarts', 0)}"
-                f" learned={metrics.get('clauses_learned', 0)}"
-                f" deleted={metrics.get('clauses_deleted', 0)}"
-                f" avg_lbd={metrics.get('avg_lbd', 0.0)}"
-                f" phase_hits={metrics.get('phase_saving_hits', 0)}",
+                f"[bench]   sat: phase_hits={metrics.get('phase_saving_hits', 0)}",
                 flush=True,
             )
     return per_program, merged, spans

@@ -77,10 +77,6 @@ def profile_program(
         "explanations",
         "explanation_literals",
         "avg_explanation_len",
-        "sat_restarts",
-        "clauses_deleted",
-        "clauses_learned",
-        "avg_lbd",
         "phase_saving_hits",
         "sat_time",
         "theory_time",

@@ -140,8 +140,6 @@ def dplt_metric_sums(functions) -> Dict[str, float]:
     """
     explanations = sum(fn.smt_explanations for fn in functions)
     literals = sum(fn.smt_explanation_literals for fn in functions)
-    learned = sum(fn.smt_learned for fn in functions)
-    lbd_total = sum(fn.smt_lbd_total for fn in functions)
     return {
         "batched_checks": sum(fn.smt_batched_checks for fn in functions),
         "theory_propagations": sum(fn.smt_theory_propagations for fn in functions),
@@ -151,10 +149,6 @@ def dplt_metric_sums(functions) -> Dict[str, float]:
         "explanations": explanations,
         "explanation_literals": literals,
         "avg_explanation_len": round(literals / explanations, 3) if explanations else 0.0,
-        "sat_restarts": sum(fn.smt_sat_restarts for fn in functions),
-        "clauses_deleted": sum(fn.smt_clauses_deleted for fn in functions),
-        "clauses_learned": learned,
-        "avg_lbd": round(lbd_total / learned, 3) if learned else 0.0,
         "phase_saving_hits": sum(fn.smt_phase_saving_hits for fn in functions),
         "sat_time": sum(fn.smt_sat_time for fn in functions),
         "theory_time": sum(fn.smt_theory_time for fn in functions),
@@ -213,8 +207,6 @@ def fixpoint_metric_view(snapshot: Dict[str, Dict[str, object]]) -> Dict[str, ob
     exactly the same per-solve values, so the numbers are unchanged."""
     explanations = snapshot_value(snapshot, "fixpoint.explanations")
     literals = snapshot_value(snapshot, "fixpoint.explanation_literals")
-    learned = snapshot_value(snapshot, "fixpoint.sat_learned")
-    lbd_total = snapshot_value(snapshot, "fixpoint.sat_lbd_total")
     return {
         "smt_queries": snapshot_value(snapshot, "fixpoint.smt_queries"),
         "from_scratch_solves": snapshot_value(snapshot, "fixpoint.from_scratch_solves"),
@@ -229,10 +221,6 @@ def fixpoint_metric_view(snapshot: Dict[str, Dict[str, object]]) -> Dict[str, ob
         "explanations": explanations,
         "explanation_literals": literals,
         "avg_explanation_len": round(literals / explanations, 3) if explanations else 0.0,
-        "sat_restarts": snapshot_value(snapshot, "fixpoint.sat_restarts"),
-        "clauses_deleted": snapshot_value(snapshot, "fixpoint.sat_clauses_deleted"),
-        "clauses_learned": learned,
-        "avg_lbd": round(lbd_total / learned, 3) if learned else 0.0,
         "phase_saving_hits": snapshot_value(snapshot, "fixpoint.sat_phase_saving_hits"),
         "sat_time": snapshot_value(snapshot, "fixpoint.sat_seconds"),
         "theory_time": snapshot_value(snapshot, "fixpoint.theory_seconds"),

@@ -41,10 +41,6 @@ class SideMetrics:
     theory_time: float = 0.0
     # -- SAT-core heuristics observability (per run) ------------------------
     shrink_budget_hits: int = 0
-    sat_restarts: int = 0
-    clauses_deleted: int = 0
-    clauses_learned: int = 0
-    avg_lbd: float = 0.0
     phase_saving_hits: int = 0
     # -- term-layer / arithmetic fast-path observability (per run) ----------
     intern_table_size: int = 0

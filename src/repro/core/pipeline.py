@@ -47,10 +47,6 @@ FUNCTION_METRIC_KEYS = (
     "smt_shrink_budget_hits",
     "smt_explanations",
     "smt_explanation_literals",
-    "smt_sat_restarts",
-    "smt_clauses_deleted",
-    "smt_learned",
-    "smt_lbd_total",
     "smt_phase_saving_hits",
     "smt_sat_time",
     "smt_theory_time",
@@ -72,10 +68,6 @@ def metrics_from_fixpoint(fixpoint_result) -> Dict[str, float]:
         "smt_shrink_budget_hits": fixpoint_result.shrink_budget_hits,
         "smt_explanations": fixpoint_result.explanations,
         "smt_explanation_literals": fixpoint_result.explanation_literals,
-        "smt_sat_restarts": fixpoint_result.sat_restarts,
-        "smt_clauses_deleted": fixpoint_result.sat_clauses_deleted,
-        "smt_learned": fixpoint_result.sat_learned,
-        "smt_lbd_total": fixpoint_result.sat_lbd_total,
         "smt_phase_saving_hits": fixpoint_result.sat_phase_saving_hits,
         "smt_sat_time": fixpoint_result.sat_time,
         "smt_theory_time": fixpoint_result.theory_time,

@@ -2,8 +2,8 @@
 
 The production promise of the service layer is *graceful per-function
 degradation*: one crashing, hanging or memory-hungry unit of work (a
-function verification, a portfolio racer, a daemon job) must cost exactly
-that unit, never the run around it.  This package supplies both halves of
+function verification or a daemon job) must cost exactly that unit, never
+the run around it.  This package supplies both halves of
 that promise:
 
 * **containment** — :func:`enforce_deadline` (SIGALRM-based per-unit
@@ -22,7 +22,6 @@ Injection sites currently instrumented (grep for ``faults.inject``):
 ========================  =====================================================
 ``scheduler.worker``      per function, in the scheduler worker (and the
                           serial loop), key = function name
-``portfolio.child``       per racer, in the forked portfolio child
 ``cache.write``           between the cache tmp-file write and its atomic
                           rename, key = function name
 ``theory.check``          at the start of every theory-solver check
@@ -35,7 +34,7 @@ variable (installed by :func:`install_plan` / :func:`inject_faults`), so
 forked *and* spawned children honour the same schedule.  Every fired fault
 counts into the ambient metrics registry as ``faults.injections`` (and
 ``faults.injections.<kind>``); containment layers add ``faults.retries``,
-``faults.breaker_trips``, ``faults.pool_rebuilds``, ``faults.workers.*``.
+``faults.breaker_trips`` and ``faults.pool_rebuilds``.
 
 See ``docs/robustness.md`` for the failure-mode matrix and the chaos-mode
 recipe.

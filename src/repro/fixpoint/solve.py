@@ -98,7 +98,7 @@ BUDGET_EXHAUSTED = "budget-exhausted"
 INVALID = "invalid"
 SOLVER_UNKNOWN = "solver-unknown"
 
-# Fault-boundary kinds: the execution layer (scheduler/portfolio/daemon)
+# Fault-boundary kinds: the execution layer (scheduler/daemon)
 # uses these when a function's verdict was degraded by a crash, a missed
 # deadline or a memory ceiling rather than decided by the solver.  Such
 # errors carry no constraint.
@@ -191,10 +191,6 @@ class _RunStats:
     shrink_budget_hits: int = 0
     explanations: int = 0
     explanation_literals: int = 0
-    sat_restarts: int = 0
-    sat_clauses_deleted: int = 0
-    sat_learned: int = 0
-    sat_lbd_total: int = 0
     sat_phase_saving_hits: int = 0
     sat_time: float = 0.0
     theory_time: float = 0.0
@@ -211,10 +207,6 @@ class _RunStats:
         self.shrink_budget_hits += solver.shrink_budget_hits
         self.explanations += solver.explanations
         self.explanation_literals += solver.explanation_literals
-        self.sat_restarts += solver.sat_restarts
-        self.sat_clauses_deleted += solver.sat_clauses_deleted
-        self.sat_learned += solver.sat_learned
-        self.sat_lbd_total += solver.sat_lbd_total
         self.sat_phase_saving_hits += solver.sat_phase_saving_hits
         self.sat_time += solver.sat_time
         self.theory_time += solver.theory_time
@@ -247,10 +239,6 @@ class FixpointResult:
     shrink_budget_hits: int = 0
     explanations: int = 0
     explanation_literals: int = 0
-    sat_restarts: int = 0
-    sat_clauses_deleted: int = 0
-    sat_learned: int = 0
-    sat_lbd_total: int = 0
     sat_phase_saving_hits: int = 0
     sat_time: float = 0.0
     theory_time: float = 0.0
@@ -265,13 +253,6 @@ class FixpointResult:
         if not self.explanations:
             return 0.0
         return self.explanation_literals / self.explanations
-
-    @property
-    def avg_lbd(self) -> float:
-        """Mean literal-block-distance of clauses learned this run."""
-        if not self.sat_learned:
-            return 0.0
-        return self.sat_lbd_total / self.sat_learned
 
 
 #: ``FixpointResult`` counter fields mirrored into ``fixpoint.<field>``
@@ -292,10 +273,6 @@ _RESULT_COUNTER_FIELDS = (
     ("shrink_budget_hits", "core-shrink rounds truncated by the per-check budget"),
     ("explanations", "conflict explanations inside per-clause solvers"),
     ("explanation_literals", "explanation literals inside per-clause solvers"),
-    ("sat_restarts", "Luby-scheduled CDCL restarts inside per-clause solvers"),
-    ("sat_clauses_deleted", "learned clauses tombstoned by clause-DB reduction"),
-    ("sat_learned", "clauses learned by conflict analysis"),
-    ("sat_lbd_total", "summed literal-block-distance over learned clauses"),
     ("sat_phase_saving_hits", "decisions that reused a saved phase"),
 )
 
@@ -610,10 +587,6 @@ class FixpointSolver:
             shrink_budget_hits=stats.shrink_budget_hits,
             explanations=stats.explanations,
             explanation_literals=stats.explanation_literals,
-            sat_restarts=stats.sat_restarts,
-            sat_clauses_deleted=stats.sat_clauses_deleted,
-            sat_learned=stats.sat_learned,
-            sat_lbd_total=stats.sat_lbd_total,
             sat_phase_saving_hits=stats.sat_phase_saving_hits,
             sat_time=stats.sat_time,
             theory_time=stats.theory_time,

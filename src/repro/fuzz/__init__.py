@@ -1,8 +1,8 @@
 """Generative differential stress harness (ROADMAP item 5b).
 
-The pipeline has five interchangeable solving paths — fixpoint strategy,
-theory engine, process scheduler, result cache, portfolio race — that must
-agree on every program.  This package manufactures the programs and checks
+The pipeline has four interchangeable solving paths — fixpoint strategy,
+theory engine, process scheduler, result cache — that must agree on every
+program.  This package manufactures the programs and checks
 the agreement:
 
 * :mod:`repro.fuzz.generator` — seeded, grammar-driven generator of

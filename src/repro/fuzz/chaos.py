@@ -5,8 +5,8 @@ verdict-preserving; chaos mode (``python -m repro fuzz --chaos``) extends
 it to every *failure*: for each generated crate, after the clean reference
 run, one fault is drawn deterministically from the campaign seed — a
 worker SIGKILL, a hang past the function deadline, an allocation failure,
-a writer dying mid cache write, a murdered portfolio racer — and the crate
-is verified again with that fault armed through :mod:`repro.faults`.
+a writer dying mid cache write — and the crate is verified again with that
+fault armed through :mod:`repro.faults`.
 
 The invariant checked is **verdict parity under containment**
 (:func:`chaos_mismatch`): every function's chaotic verdict must either be
@@ -50,7 +50,6 @@ CHAOS_GRID: Tuple[Tuple[str, str], ...] = (
     ("theory.check", "crash"),
     ("theory.check", "oom"),
     ("cache.write", "crash"),
-    ("portfolio.child", "crash"),
 )
 
 #: Function deadline armed for hang cases; the injected hang sleeps longer.
@@ -101,13 +100,12 @@ def run_chaos_case(crate: GeneratedCrate, case: ChaosCase) -> CrateVerdict:
     """Verify the crate with the case's fault armed; must not raise.
 
     The session shape follows the site: scheduler faults need the ``--jobs``
-    process pool, portfolio faults the configuration race, cache faults an
-    on-disk cache; hangs arm the per-function deadline that contains them.
+    process pool, cache faults an on-disk cache; hangs arm the per-function
+    deadline that contains them.
     """
     import tempfile
 
     jobs = 2 if case.site == "scheduler.worker" else 1
-    portfolio = 2 if case.site == "portfolio.child" else 0
     fn_deadline = HANG_DEADLINE_SECONDS if case.kind == "hang" else None
     with faults.inject_faults(case.plan):
         if case.site == "cache.write":
@@ -119,12 +117,7 @@ def run_chaos_case(crate: GeneratedCrate, case: ChaosCase) -> CrateVerdict:
                         session,
                     )
         else:
-            session = VerifySession(
-                use_cache=False,
-                jobs=jobs,
-                portfolio=portfolio,
-                fn_deadline=fn_deadline,
-            )
+            session = VerifySession(use_cache=False, jobs=jobs, fn_deadline=fn_deadline)
             with session.activate():
                 report = verify_job(
                     VerifyJob(source=crate.source, name=f"chaos-{crate.seed}"),

@@ -1,20 +1,19 @@
 """Differential oracles: one verification pipeline, many configurations.
 
 Every knob the repo has grown — fixpoint strategy (naive vs. worklist),
-DPLL(T) engine (offline vs. online), the ``--jobs`` process scheduler, the
-content-addressed result cache, the ``--portfolio`` configuration race —
-is *supposed* to steer only speed, never verdicts.  An :class:`Oracle`
-names one configuration; the driver runs each generated crate through a
-set of them and compares the extracted :class:`Verdict` tables.  Any
-disagreement is a bug in one of the five paths by construction.
+DPLL(T) engine (offline vs. online), the ``--jobs`` process scheduler and
+the content-addressed result cache — is *supposed* to steer only speed,
+never verdicts.  An :class:`Oracle` names one configuration; the driver
+runs each generated crate through a set of them and compares the extracted
+:class:`Verdict` tables.  Any disagreement is a bug in one of the four
+paths by construction.
 
 Strategy and engine defaults live in module globals read at call time
 (``repro.fixpoint.solve.DEFAULT_STRATEGY``, ``repro.smt.solver
 .DEFAULT_ENGINE``), so an oracle installs its overrides with a context
-manager around the whole job; forked scheduler workers and portfolio
-children inherit the patched values through copy-on-write, which is what
-makes ``jobs``/``portfolio`` oracles honour the same strategy/engine as
-their serial twin.
+manager around the whole job; forked scheduler workers inherit the patched
+values through copy-on-write, which is what makes ``jobs`` oracles honour
+the same strategy/engine as their serial twin.
 
 Comparison depth: function name, status and the sorted failure *tags* are
 compared for every oracle pair.  Full diagnostic strings (which embed
@@ -59,7 +58,6 @@ class Oracle:
     #: the module default.
     engine: Optional[str] = None
     jobs: int = 1
-    portfolio: int = 0
     #: Verify twice against a private on-disk cache and report the second,
     #: fully-warm pass — every function must replay from cache with the
     #: same verdict the cold run produced.
@@ -83,8 +81,6 @@ ORACLES: Dict[str, Oracle] = {
     "jobs2": Oracle("jobs2", jobs=2),
     "jobs4": Oracle("jobs4", jobs=4),
     "warm": Oracle("warm", warm=True),
-    "portfolio2": Oracle("portfolio2", portfolio=2),
-    "portfolio4": Oracle("portfolio4", portfolio=4),
 }
 
 
@@ -192,9 +188,7 @@ def run_oracle(source: str, name: str, oracle: Oracle) -> CrateVerdict:
                 with warm.activate():
                     report = verify_job(VerifyJob(source=source, name=name), warm)
         else:
-            session = VerifySession(
-                use_cache=False, jobs=oracle.jobs, portfolio=oracle.portfolio
-            )
+            session = VerifySession(use_cache=False, jobs=oracle.jobs)
             with session.activate():
                 report = verify_job(VerifyJob(source=source, name=name), session)
     return CrateVerdict(

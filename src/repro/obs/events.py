@@ -8,9 +8,10 @@ The log is bounded (a ring of the most recent :attr:`EventLog.limit`
 entries, with a dropped-count so truncation is never silent) and exports to
 a JSON document for offline analysis.
 
-Note on restarts: the CDCL core deliberately has no restart policy (learned
-clauses persist across the incremental solver's checks instead), so event
-records carry no restart field; see ``docs/observability.md``.
+Note on restarts: the CDCL core has no restart policy (learned clauses
+persist across the incremental solver's checks instead, and liquid-inference
+checks are far too small for restarts to fire), so event records carry no
+restart field; see "SAT-core heuristics" in ``docs/smt.md``.
 """
 
 from __future__ import annotations

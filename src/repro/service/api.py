@@ -242,7 +242,6 @@ def _verify_job_active(job: VerifyJob, session: VerifySession) -> JobReport:
         rust_context,
         session.smt,
         jobs=session.jobs,
-        portfolio=session.portfolio,
         deps=callee_deps,
         fns=tables.fn_decls if tables is not None else None,
         trace=session.obs.tracer.enabled,

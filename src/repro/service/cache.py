@@ -53,7 +53,9 @@ from repro.obs import current_obs
 #    (the typed metrics registry is now the source of truth).
 # 6: restart/deletion/phase-saving SAT core + structural Tseitin caching
 #    (new SAT-core counters, different conflict/decision accounting).
-SCHEMA_VERSION = 6
+# 7: restart, clause-deletion and learned-clause counters removed from
+#    ``metrics``.
+SCHEMA_VERSION = 7
 
 _IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 

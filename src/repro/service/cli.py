@@ -83,14 +83,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="verify up to N functions concurrently (default: 1, serial)",
     )
     parser.add_argument(
-        "--portfolio",
-        type=int,
-        default=0,
-        metavar="K",
-        help="race K SAT-core configurations per function and keep the "
-        "first verdict (default: 0, single solver; overrides --jobs)",
-    )
-    parser.add_argument(
         "--fn-deadline",
         type=float,
         default=None,
@@ -412,7 +404,6 @@ def _dispatch(argv: Optional[Sequence[str]] = None) -> int:
                 ("--trace-out", args.trace_out),
                 ("--metrics-out", args.metrics_out),
                 ("--events-out", args.events_out),
-                ("--portfolio", args.portfolio),
                 ("--fn-deadline", args.fn_deadline),
                 ("--memory-limit", args.memory_limit),
             )
@@ -445,7 +436,6 @@ def _dispatch(argv: Optional[Sequence[str]] = None) -> int:
         jobs=args.jobs,
         trace=args.trace_out is not None,
         events=args.events_out is not None,
-        portfolio=args.portfolio,
         fn_deadline=args.fn_deadline,
         memory_limit_mb=args.memory_limit,
     )

@@ -422,7 +422,6 @@ def verify_functions(
     fns: Optional[Dict[str, ast.FnDef]] = None,
     trace: bool = False,
     events: bool = False,
-    portfolio: int = 0,
     fn_deadline: Optional[float] = None,
     memory_limit_mb: Optional[int] = None,
 ) -> Dict[str, Tuple[FunctionResult, Optional[SmtStats], Optional[ObsPayload]]]:
@@ -434,11 +433,6 @@ def verify_functions(
     ``events`` forward the session's tracer/event-log switches to workers.
     ``fns`` may carry a precomputed ``definition_map(program)``.
 
-    ``portfolio`` ≥ 2 races that many SAT-core configurations per function
-    (first verdict wins; see :mod:`repro.smt.portfolio`) instead of using
-    the function-parallel pool — the two multiprocess modes are exclusive,
-    and the portfolio takes precedence.
-
     ``fn_deadline`` bounds each function's wall-clock (structured
     ``DEADLINE_EXCEEDED`` verdict on overrun); ``memory_limit_mb`` caps
     each worker process's address space (``RESOURCE_EXHAUSTED``).  Both
@@ -449,20 +443,6 @@ def verify_functions(
         fns = definition_map(program)
     ordered = topological_order(names, genv, fns, deps=deps)
     results: Dict[str, Tuple[FunctionResult, Optional[SmtStats], Optional[ObsPayload]]] = {}
-
-    if portfolio >= 2:
-        from repro.smt.portfolio import race_verify_function, record_portfolio_win
-
-        for name in ordered:
-            result, snapshot, winner = race_verify_function(
-                fns[name], genv, rust_context, portfolio
-            )
-            record_portfolio_win(winner)
-            payload: Optional[ObsPayload] = None
-            if snapshot is not None:
-                payload = {"metrics": snapshot, "trace": [], "events": []}
-            results[name] = (result, None, payload)
-        return results
 
     if jobs > 1 and len(ordered) > 1:
         remaining = _run_parallel(

@@ -35,10 +35,6 @@ class VerifySession:
     jobs:
         Default worker count for :meth:`repro.service.api.verify_jobs`;
         ``1`` means serial.
-    portfolio:
-        When ≥ 2, race that many SAT-core configurations per function and
-        keep the first verdict (see :mod:`repro.smt.portfolio`).  Mutually
-        exclusive with ``jobs`` parallelism; the portfolio wins.
     trace:
         Enable span tracing.  Spans from this process and from scheduler
         workers accumulate in ``self.obs.tracer`` for Chrome-trace export.
@@ -63,7 +59,6 @@ class VerifySession:
         jobs: int = 1,
         trace: bool = False,
         events: bool = False,
-        portfolio: int = 0,
         fn_deadline: Optional[float] = None,
         memory_limit_mb: Optional[int] = None,
     ) -> None:
@@ -71,7 +66,6 @@ class VerifySession:
         self.obs = ObsContext.create(trace=trace, events=events)
         self.cache = ResultCache(cache_dir=cache_dir, enabled=use_cache)
         self.jobs = max(1, int(jobs))
-        self.portfolio = max(0, int(portfolio))
         self.fn_deadline = fn_deadline if fn_deadline and fn_deadline > 0 else None
         self.memory_limit_mb = memory_limit_mb if memory_limit_mb and memory_limit_mb > 0 else None
 

@@ -126,10 +126,6 @@ class IncrementalSolver:
         self.shrink_budget_hits = 0
         self.explanations = 0
         self.explanation_literals = 0
-        self.sat_restarts = 0
-        self.sat_clauses_deleted = 0
-        self.sat_learned = 0
-        self.sat_lbd_total = 0
         self.sat_phase_saving_hits = 0
         self.sat_time = 0.0
         self.theory_time = 0.0
@@ -350,10 +346,6 @@ class IncrementalSolver:
         self.shrink_budget_hits += stats.shrink_budget_hits
         self.explanations += stats.explanations
         self.explanation_literals += stats.explanation_literals
-        self.sat_restarts += stats.sat_restarts
-        self.sat_clauses_deleted += stats.sat_clauses_deleted
-        self.sat_learned += stats.sat_learned
-        self.sat_lbd_total += stats.sat_lbd_total
         self.sat_phase_saving_hits += stats.sat_phase_saving_hits
         self.sat_time += stats.sat_time
         self.theory_time += stats.theory_time
@@ -375,10 +367,6 @@ class IncrementalSolver:
             "shrink_budget_hits": self.shrink_budget_hits,
             "explanations": self.explanations,
             "explanation_literals": self.explanation_literals,
-            "sat_restarts": self.sat_restarts,
-            "sat_clauses_deleted": self.sat_clauses_deleted,
-            "sat_learned": self.sat_learned,
-            "sat_lbd_total": self.sat_lbd_total,
             "sat_phase_saving_hits": self.sat_phase_saving_hits,
             "sat_time": self.sat_time,
             "theory_time": self.theory_time,

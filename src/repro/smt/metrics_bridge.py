@@ -29,10 +29,6 @@ _COUNTER_FIELDS = (
     ("sat_conflicts", "CDCL conflicts"),
     ("sat_decisions", "CDCL decisions"),
     ("sat_propagations", "CDCL unit propagations"),
-    ("sat_restarts", "Luby-scheduled CDCL restarts"),
-    ("sat_clauses_deleted", "learned clauses tombstoned by clause-DB reduction"),
-    ("sat_learned", "clauses learned by conflict analysis"),
-    ("sat_lbd_total", "summed literal-block-distance over learned clauses"),
     ("sat_phase_saving_hits", "decisions that reused a saved phase"),
     ("theory_propagations", "theory-implied literals enqueued into the SAT core"),
     ("partial_checks", "rational feasibility checks at partial assignments"),

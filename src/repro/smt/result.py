@@ -38,10 +38,6 @@ class CheckStats:
     sat_conflicts: int = 0
     sat_decisions: int = 0
     sat_propagations: int = 0
-    sat_restarts: int = 0
-    sat_clauses_deleted: int = 0
-    sat_learned: int = 0
-    sat_lbd_total: int = 0
     sat_phase_saving_hits: int = 0
     theory_propagations: int = 0
     partial_checks: int = 0

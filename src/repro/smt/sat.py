@@ -8,20 +8,11 @@ conflict-driven clause learning with:
   touches the watch lists,
 * first-UIP conflict analysis with clause learning,
 * non-chronological backjumping,
-* Luby-sequence restarts (:class:`SatConfig`): the search restarts after a
-  conflict budget drawn from the Luby sequence, keeping the permanent
-  level-0 trail and every learned clause,
-* LBD (literal-block-distance) scoring on learned clauses with periodic
-  clause-database reduction: glue clauses (LBD ≤ ``glue_lbd``), binary
-  clauses, reason clauses of the current trail and theory lemmas are
-  permanent; the rest is halved by (LBD, activity) on a growing conflict
-  schedule,
 * phase saving with progress-saving polarity: every assignment records its
-  polarity, and decisions reuse the saved polarity across backjumps *and*
-  restarts (``default_phase`` polarity before a variable was ever flipped),
+  polarity, and decisions reuse the saved polarity across backjumps (a
+  variable that was never assigned is decided false),
 * an exponentially-decayed (VSIDS-style) activity heuristic served from a
-  lazy binary heap, with optional seeded jitter on initial activities so a
-  portfolio can diversify tie-breaking,
+  lazy binary heap,
 * an optional *theory solver* (:meth:`SatSolver.attach_theory`): newly
   assigned literals are asserted into the theory as the trail grows, theory
   conflicts at partial assignments become learned clauses, theory-implied
@@ -37,91 +28,17 @@ allocated with :meth:`SatSolver.new_var` and numbered from 1.  Internally a
 literal ``l`` indexes the watch table at ``2*l`` (positive) or ``2*(-l)+1``
 (negative).
 
-Clause deletion never moves a clause: the database is an append-only list
-and deleted slots are tombstoned with ``None``, so the clause *indices*
-stored in watch lists and reason pointers stay valid forever.  Deleted
-clauses are unhooked from their two watch lists eagerly, which keeps the
-propagation loop free of tombstone checks.
+The clause database is append-only — learned clauses and theory lemmas are
+kept for the solver's lifetime — so the clause *indices* stored in watch
+lists and reason pointers stay valid forever.  Liquid inference issues many
+small checks per solver, far too few conflicts for restarts or clause-DB
+reduction to pay (see ``docs/smt.md``).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
-from random import Random
 from typing import Dict, Iterable, List, Optional, Tuple
-
-
-def luby(index: int) -> int:
-    """The ``index``-th element (0-based) of the Luby sequence 1,1,2,1,1,2,4,…
-
-    Restarting with conflict budgets drawn from this sequence is within a
-    logarithmic factor of the optimal universal restart strategy (Luby,
-    Sinclair & Zuckerman 1993).
-    """
-    # Find the finite prefix (of length 2^k - 1) containing ``index``.
-    size = 1
-    while size < index + 1:
-        size = 2 * size + 1
-    # Recurse into the prefix until ``index`` is its last position.
-    while size - 1 != index:
-        size = (size - 1) >> 1
-        index %= size
-    return (size + 1) >> 1
-
-
-@dataclass(frozen=True)
-class SatConfig:
-    """Tunable search heuristics (the portfolio races several of these).
-
-    The default configuration is the canonical single-solver setup; every
-    knob only steers the *search order*, never the answer — a complete CDCL
-    search returns the same SAT/UNSAT verdict under any configuration, which
-    is what lets a portfolio race configurations and take the first answer.
-    """
-
-    #: Luby-sequence restarts (level-0 trail and learned clauses survive).
-    restarts: bool = True
-    #: Conflicts per Luby unit: restart ``i`` fires after ``luby(i)``×this.
-    luby_unit: int = 64
-    #: Scale the Luby unit down to the problem size.  A fixed unit of 64
-    #: conflicts never fires on Table-1-sized checks, whose whole search
-    #: rarely reaches 64 conflicts — restarts existed but were dead code
-    #: (ROADMAP item 3).  When on, the effective unit is
-    #: ``max(8, min(luby_unit, num_vars // 4 + 1))``: small formulas earn
-    #: small budgets (a 40-var query restarts after 11 conflicts), while
-    #: adversarial instances keep the configured ceiling.  Verdicts are
-    #: unaffected — restarts only reorder a complete search.
-    luby_auto: bool = True
-    #: Reuse each variable's last-assigned polarity on decisions.
-    phase_saving: bool = True
-    #: Polarity for variables that have never been assigned (and for every
-    #: decision when ``phase_saving`` is off).
-    default_phase: bool = False
-    #: Periodic learned-clause database reduction by (LBD, activity).
-    clause_deletion: bool = True
-    #: Conflicts before the first reduction.
-    reduce_base: int = 2000
-    #: The reduction interval grows by this many conflicts each time.
-    reduce_inc: int = 1000
-    #: Learned clauses at or below this LBD ("glue" clauses) are permanent.
-    glue_lbd: int = 2
-    #: Seed for jittering initial VSIDS activities (tie-break diversification
-    #: for portfolio members).  ``None`` keeps the deterministic default.
-    seed: Optional[int] = None
-
-
-#: Process-wide default configuration.  Portfolio workers overwrite this in
-#: the child process before building solvers, so every solver constructed in
-#: that worker inherits the racing configuration without any plumbing
-#: through the fixpoint/incremental layers.
-DEFAULT_CONFIG = SatConfig()
-
-
-def set_default_config(config: SatConfig) -> None:
-    """Install ``config`` as the default for subsequently built solvers."""
-    global DEFAULT_CONFIG
-    DEFAULT_CONFIG = config
 
 
 class SatSolver:
@@ -132,12 +49,9 @@ class SatSolver:
     #: per answer and the theory loop above re-validates models anyway.
     verify_models = False
 
-    def __init__(self, config: Optional[SatConfig] = None) -> None:
-        if config is None:
-            config = DEFAULT_CONFIG
-        self.config = config
+    def __init__(self) -> None:
         self._num_vars = 0
-        self._clauses: List[Optional[List[int]]] = []
+        self._clauses: List[List[int]] = []
         # watch lists indexed by literal code (2*v for v, 2*v+1 for -v)
         self._watches: List[List[int]] = [[], []]
         # per-variable arrays, indexed 1..num_vars (slot 0 unused)
@@ -145,7 +59,7 @@ class SatSolver:
         self._reason: List[int] = [-1]  # antecedent clause index, -1 for decisions
         self._level: List[int] = [0]
         self._activity: List[float] = [0.0]
-        self._phase: List[bool] = [config.default_phase]
+        self._phase: List[bool] = [False]
         self._phase_set: List[bool] = [False]  # has a saved (progress) polarity
         self._seen: List[bool] = [False]  # scratch for _analyze, cleared after use
         self._heap: List[Tuple[float, int]] = []
@@ -163,29 +77,14 @@ class SatSolver:
         self._theory = None
         self._theory_vars = None  # theory-atom variables (shared mapping)
         self._theory_head = 0  # trail entries already asserted into the theory
-        self._rng = Random(config.seed) if config.seed is not None else None
-        # Learned-clause metadata (CDCL-learned clauses only; clauses added
-        # through add_clause/_install_clause never enter the deletable pool,
-        # so theory lemmas are pinned by construction).
-        self._clause_lbd: Dict[int, int] = {}
-        self._clause_act: Dict[int, float] = {}
-        self._clause_act_inc = 1.0
-        self._num_deleted = 0
-        self._luby_index = 0
-        self._next_reduce = config.reduce_base
-        self._reduce_interval = config.reduce_inc
         self.num_conflicts = 0
         self.num_decisions = 0
         self.num_propagations = 0
         self.num_theory_propagations = 0
-        self.num_restarts = 0
-        self.num_clauses_deleted = 0
-        self.num_learned = 0
-        self.lbd_total = 0
         self.num_phase_saving_hits = 0
         # Cumulative totals at the entry of the current/most recent ``solve``
         # call; the ``solve_*`` properties read per-call deltas off them.
-        self._solve_base = (0, 0, 0, 0, 0, 0, 0, 0)
+        self._solve_base = (0, 0, 0, 0)
 
     @property
     def solve_conflicts(self) -> int:
@@ -203,29 +102,9 @@ class SatSolver:
         return self.num_propagations - self._solve_base[2]
 
     @property
-    def solve_restarts(self) -> int:
-        """Restarts during the current/most recent :meth:`solve` call."""
-        return self.num_restarts - self._solve_base[3]
-
-    @property
-    def solve_clauses_deleted(self) -> int:
-        """Learned clauses deleted during the current/most recent call."""
-        return self.num_clauses_deleted - self._solve_base[4]
-
-    @property
-    def solve_learned(self) -> int:
-        """Clauses learned during the current/most recent :meth:`solve` call."""
-        return self.num_learned - self._solve_base[5]
-
-    @property
-    def solve_lbd_total(self) -> int:
-        """Sum of learned-clause LBDs during the current/most recent call."""
-        return self.lbd_total - self._solve_base[6]
-
-    @property
     def solve_phase_saving_hits(self) -> int:
         """Decisions that reused a saved polarity during the current call."""
-        return self.num_phase_saving_hits - self._solve_base[7]
+        return self.num_phase_saving_hits - self._solve_base[3]
 
     # -- theory hook ---------------------------------------------------------
 
@@ -256,20 +135,14 @@ class SatSolver:
         self._assigns.append(0)
         self._reason.append(-1)
         self._level.append(0)
-        if self._rng is not None:
-            # Tiny jitter diversifies VSIDS tie-breaking per portfolio seed
-            # without perturbing genuine activity differences.
-            initial = self._rng.random() * 1e-9
-        else:
-            initial = 0.0
-        self._activity.append(initial)
-        self._phase.append(self.config.default_phase)
+        self._activity.append(0.0)
+        self._phase.append(False)
         self._phase_set.append(False)
         self._seen.append(False)
         self._watches.append([])
         self._watches.append([])
-        self._act_entry.append(initial)
-        heappush(self._heap, (-initial, var))
+        self._act_entry.append(0.0)
+        heappush(self._heap, (-0.0, var))
         return var
 
     @property
@@ -278,8 +151,7 @@ class SatSolver:
 
     @property
     def num_clauses(self) -> int:
-        """Live clauses in the database (tombstoned deletions excluded)."""
-        return len(self._clauses) - self._num_deleted
+        return len(self._clauses)
 
     def add_clause(self, literals: Iterable[int]) -> bool:
         """Add a clause.  Returns ``False`` if the formula became trivially unsat.
@@ -368,10 +240,6 @@ class SatSolver:
     @staticmethod
     def _windex(lit: int) -> int:
         return (lit << 1) if lit > 0 else ((-lit << 1) | 1)
-
-    def _unwatch(self, lit: int, ci: int) -> None:
-        """Remove clause ``ci`` from ``lit``'s watch list."""
-        self._watches[self._windex(lit)].remove(ci)
 
     # -- assignment helpers --------------------------------------------------
 
@@ -496,17 +364,6 @@ class SatSolver:
             self._act_entry[var] = act
             heappush(self._heap, (-act, var))
 
-    def _bump_clause(self, index: int) -> None:
-        act = self._clause_act
-        if index in act:
-            bumped = act[index] + self._clause_act_inc
-            act[index] = bumped
-            if bumped > 1e20:
-                scale = 1e-20
-                for ci in act:
-                    act[ci] *= scale
-                self._clause_act_inc *= scale
-
     def _rebuild_heap(self) -> None:
         activity = self._activity
         assigns = self._assigns
@@ -528,7 +385,6 @@ class SatSolver:
         touched: List[int] = []
         learned: List[int] = []
         counter = 0
-        self._bump_clause(conflict_index)
         clause = list(self._clauses[conflict_index])
         trail_index = len(self._trail) - 1
         current_level = self._decision_level()
@@ -557,7 +413,6 @@ class SatSolver:
                 break
             reason_index = self._reason[resolve_lit if resolve_lit > 0 else -resolve_lit]
             assert reason_index >= 0, "decision literal reached before UIP"
-            self._bump_clause(reason_index)
             clause = [l for l in self._clauses[reason_index] if l != resolve_lit]
 
         # Local clause minimisation (MiniSat ccmin): a non-asserting literal
@@ -621,54 +476,6 @@ class SatSolver:
             self._theory.shrink_to_trail(len(self._trail))
             self._theory_head = len(self._trail)
 
-    # -- learned-clause database reduction -----------------------------------
-
-    def _compute_lbd(self, learned: List[int]) -> int:
-        """Literal block distance: distinct decision levels in the clause.
-
-        Computed while every literal is still assigned (before the backjump),
-        the standard glucose measure of learned-clause quality.
-        """
-        level = self._level
-        return len({level[lit if lit > 0 else -lit] for lit in learned})
-
-    def _reduce_db(self) -> None:
-        """Delete the worse half of the deletable learned clauses.
-
-        Deletable means CDCL-learned (theory lemmas and problem clauses
-        never enter ``_clause_lbd``), above the glue threshold, longer than
-        binary, and not the reason of any currently-assigned literal —
-        reasons are live antecedents that conflict analysis may resolve on.
-        Worse means higher LBD, then lower activity.
-        """
-        reason = self._reason
-        pinned = {reason[lit if lit > 0 else -lit] for lit in self._trail}
-        lbd_map = self._clause_lbd
-        act = self._clause_act
-        glue = self.config.glue_lbd
-        clauses = self._clauses
-        candidates = [
-            ci
-            for ci, lbd in lbd_map.items()
-            if lbd > glue and ci not in pinned and len(clauses[ci]) > 2
-        ]
-        self._reduce_interval += self.config.reduce_inc
-        self._next_reduce = self.num_conflicts + self._reduce_interval
-        if len(candidates) < 2:
-            return
-        candidates.sort(key=lambda ci: (-lbd_map[ci], act.get(ci, 0.0), ci))
-        watches = self._watches
-        drop = candidates[: len(candidates) // 2]
-        for ci in drop:
-            clause = clauses[ci]
-            self._unwatch(clause[0], ci)
-            self._unwatch(clause[1], ci)
-            clauses[ci] = None
-            del lbd_map[ci]
-            act.pop(ci, None)
-        self._num_deleted += len(drop)
-        self.num_clauses_deleted += len(drop)
-
     # -- theory integration ----------------------------------------------------
 
     def _install_clause(self, literals: List[int]) -> int:
@@ -679,8 +486,6 @@ class SatSolver:
         (unassigned literals first, then highest assignment level), which
         keeps the watch invariant for conflict clauses (all literals false)
         and propagation reasons (exactly the implied literal unassigned).
-        Installed lemmas are permanent: they never enter the deletable pool
-        scanned by :meth:`_reduce_db`.
         """
         lits: List[int] = []
         seen = set()
@@ -759,21 +564,14 @@ class SatSolver:
         if top < self._decision_level():
             self._backtrack(top)
         learned, backjump_level = self._analyze(conflict_index)
-        lbd = self._compute_lbd(learned)
-        self.num_learned += 1
-        self.lbd_total += lbd
         self._backtrack(backjump_level)
         index = len(self._clauses)
         self._clauses.append(learned)
         if len(learned) >= 2:
             self._watches[self._windex(learned[0])].append(index)
             self._watches[self._windex(learned[1])].append(index)
-            if self.config.clause_deletion:
-                self._clause_lbd[index] = lbd
-                self._clause_act[index] = self._clause_act_inc
         self._assign(learned[0], index)
         self._activity_inc *= 1.05
-        self._clause_act_inc *= 1.001
         return True
 
     # -- search --------------------------------------------------------------
@@ -794,8 +592,6 @@ class SatSolver:
 
     def _model_satisfies_all(self) -> bool:
         for clause in self._clauses:
-            if clause is None:
-                continue
             if not any(self._value(lit) is True for lit in clause):
                 return False
         return True
@@ -814,21 +610,11 @@ class SatSolver:
         on every learned clause being a consequence of the clause database
         alone.  By the same argument any conflict at level 0 refutes the
         clause database itself, so it latches the solver permanently unsat.
-
-        Restarts backtrack to level 0 and keep everything permanent — the
-        level-0 trail, the learned clauses and the saved phases — so a
-        restarted search resumes with all the pruning it has earned;
-        assumptions are re-planted by the decision loop exactly as after an
-        ordinary backjump.
         """
         self._solve_base = (
             self.num_conflicts,
             self.num_decisions,
             self.num_propagations,
-            self.num_restarts,
-            self.num_clauses_deleted,
-            self.num_learned,
-            self.lbd_total,
             self.num_phase_saving_hits,
         )
         if self._unsat:
@@ -846,8 +632,9 @@ class SatSolver:
         # re-propagating an almost identical trail per check.  Free decisions
         # and mismatched assumptions always cut the prefix: a level survives
         # only when its decision is literally one of the new assumptions.
-        # (``add_clause`` still backtracks to 0, so any database change
-        # between calls re-propagates from scratch.)
+        # Clauses added between calls do not reset this: ``add_clause``
+        # unwinds only until the new clause has two non-false literals (unit
+        # clauses, which assign at level 0, are the exception).
         trail = self._trail
         lim = self._trail_lim
         level = self._level
@@ -864,16 +651,6 @@ class SatSolver:
             break
         self._backtrack(keep)
         theory = self._theory
-        config = self.config
-        use_restarts = config.restarts
-        use_deletion = config.clause_deletion
-        phase_saving = config.phase_saving
-        default_phase = config.default_phase
-        luby_unit = config.luby_unit
-        if config.luby_auto:
-            luby_unit = max(8, min(luby_unit, self._num_vars // 4 + 1))
-        restart_limit = luby_unit * luby(self._luby_index)
-        conflicts_since_restart = 0
 
         while True:
             conflict = self._propagate()
@@ -884,19 +661,6 @@ class SatSolver:
             if conflict >= 0:
                 if not self._resolve_conflict(conflict):
                     return None
-                conflicts_since_restart += 1
-                if use_deletion and self.num_conflicts >= self._next_reduce:
-                    self._reduce_db()
-                if (
-                    use_restarts
-                    and conflicts_since_restart >= restart_limit
-                    and self._decision_level() > 0
-                ):
-                    self.num_restarts += 1
-                    self._luby_index += 1
-                    restart_limit = luby_unit * luby(self._luby_index)
-                    conflicts_since_restart = 0
-                    self._backtrack(0)
                 continue
             if theory is not None:
                 # Theory consistency of the *partial* assignment, once per
@@ -940,9 +704,9 @@ class SatSolver:
                 }
             self.num_decisions += 1
             self._trail_lim.append(len(self._trail))
-            if phase_saving and self._phase_set[branch_var]:
+            if self._phase_set[branch_var]:
                 preferred = self._phase[branch_var]
                 self.num_phase_saving_hits += 1
             else:
-                preferred = default_phase
+                preferred = False
             self._assign(branch_var if preferred else -branch_var, -1)

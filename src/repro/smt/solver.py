@@ -425,10 +425,6 @@ def _run_online(
         stats.sat_conflicts = sat.solve_conflicts
         stats.sat_decisions = sat.solve_decisions
         stats.sat_propagations = sat.solve_propagations
-        stats.sat_restarts = sat.solve_restarts
-        stats.sat_clauses_deleted = sat.solve_clauses_deleted
-        stats.sat_learned = sat.solve_learned
-        stats.sat_lbd_total = sat.solve_lbd_total
         stats.sat_phase_saving_hits = sat.solve_phase_saving_hits
     if unknown_reason is not None:
         return SolverAnswer(SatResult.UNKNOWN, reason=unknown_reason, stats=stats)
