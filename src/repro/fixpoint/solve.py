@@ -769,6 +769,9 @@ class FixpointSolver:
                 # Outside the incremental fragment (non-linear after
                 # substitution, sort clash, ...): permanently demote this
                 # clause to the one-shot path, which has its own handling.
+                # The solver must not be reused either way: the failed
+                # encoding may have memoised rewrites whose side conditions
+                # it never asserted (see ``IncrementalSolver.literal_for``).
                 # Counters roll back so the aborted attempt's checks are not
                 # double-counted on top of the full one-shot re-run below;
                 # clauses the discarded solver retained over its lifetime
@@ -985,7 +988,14 @@ class FixpointSolver:
     def _clause_hypotheses(
         self, clause: FlatConstraint, candidate: Dict[str, List[Expr]]
     ) -> Tuple[List[Expr], Dict[str, Sort]]:
-        solution = {name: and_(*predicates) for name, predicates in candidate.items()}
+        # Only the κs these hypotheses mention: ``apply_solution`` reads an
+        # absent κ as ``true``, so each of them must be present.
+        mentioned: Set[str] = set()
+        for hypothesis in clause.hypotheses:
+            mentioned |= kvars_of(hypothesis)
+        solution = {
+            name: and_(*candidate[name]) for name in mentioned if name in candidate
+        }
         hypotheses = [
             apply_solution(hypothesis, solution, self.kvar_decls)
             for hypothesis in clause.hypotheses

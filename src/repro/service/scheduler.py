@@ -267,12 +267,14 @@ def _run_pool_round(
     finally:
         pool.shutdown(wait=True, cancel_futures=True)
     lost = [name for name in names if name not in results]
-    suspects = [name for name in running if name in set(lost)]
-    if not suspects and broke and lost and min(jobs, len(names)) == 1:
-        # A one-worker pool runs strictly in submission order, so even when
-        # the break lands before the first poll snapshot the function in
-        # flight is known exactly: the first name without a result.
+    if broke and lost and min(jobs, len(names)) == 1:
+        # A one-worker pool runs strictly in submission order, so the
+        # function in flight is known exactly: the first name without a
+        # result.  The running snapshot cannot tell, because the executor
+        # marks the call it queues behind the worker's as running too.
         suspects = [lost[0]]
+    else:
+        suspects = [name for name in running if name in set(lost)]
     return lost, suspects, infrastructure
 
 

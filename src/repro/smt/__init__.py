@@ -4,14 +4,13 @@ The paper's implementation delegates validity checking to liquid-fixpoint /
 Z3.  This package is the stand-in: a lazy DPLL(T) solver built from
 
 * a CDCL SAT core (:mod:`repro.smt.sat`),
-* a Tseitin CNF converter (:mod:`repro.smt.cnf`),
 * an exact (rational) simplex for linear real arithmetic
   (:mod:`repro.smt.simplex`),
 * branch-and-bound on top of the simplex for integer variables
   (:mod:`repro.smt.lia`), and
 * a preprocessing layer (if-then-else elimination, Ackermann expansion of
-  uninterpreted functions) plus the lazy theory loop
-  (:mod:`repro.smt.solver`).
+  uninterpreted functions), a memoised Tseitin encoder over interned
+  formulas, plus the lazy theory loop (:mod:`repro.smt.solver`).
 
 All queries generated by the Flux checker fall in this fragment; the
 Prusti-style baseline additionally needs universally quantified axioms,

@@ -17,10 +17,14 @@ qualifier checks for one clause share the exact same hypotheses — so an
   variable, :meth:`pop` retires the scope by permanently asserting the
   selector's negation (the guarded clauses become vacuous).
 
-Goals are tested with :meth:`check_sat_assuming`: the negated goal's
-memoised Tseitin root literal is *assumed*, never asserted, so testing ten
-candidate qualifiers against one hypothesis set costs one CNF build plus ten
-cheap assumption-guarded searches instead of ten full rebuilds — and a goal
+Every formula node is Tseitin-encoded once per solver: the atomizer's memo,
+keyed on the interned expression, holds each node's literal and theory
+atoms.  Hypotheses are asserted one top-level conjunct at a time, so a
+weakened κ solution re-asserted on the next visit costs a memo hit and one
+selector-guarded clause per surviving qualifier.  Goals are tested with
+:meth:`check_sat_assuming`: the negated goal's literal is *assumed*, never
+asserted, so testing ten candidate qualifiers against one hypothesis set
+costs one encoding plus ten cheap assumption-guarded searches — and a goal
 re-tested on a later visit costs a dictionary lookup plus a search over an
 already-warm clause database.  The theory loop only hands the simplex the
 atoms of formulas currently in force (global assertions, open scopes, the
@@ -38,11 +42,10 @@ import sys
 import time
 from typing import Dict, Iterable, List, Optional, Set
 
-from repro.logic.expr import Expr, TRUE, not_
+from repro.logic.expr import Expr, TRUE, conjuncts_of, not_
 from repro.logic.simplify import simplify
 from repro.logic.sorts import BOOL, INT, Sort
 from repro.logic.subst import free_var_sorts, free_vars
-from repro.smt import cnf
 from repro.smt.atoms import AtomError
 from repro.smt.metrics_bridge import record_check_metrics
 from repro.smt.result import SolverAnswer
@@ -100,18 +103,14 @@ class IncrementalSolver:
         self._theory = TheorySolver(self._atomizer.atom_of_var)
         self._frames: List[int] = []  # selector variable per open scope
         self._ackermann_done = 0  # apps already covered by emitted axioms
-        self._root_cache: Dict[Expr, int] = {}  # expr -> Tseitin root literal
-        # skeleton subtree -> literal: structural sharing across encodings
-        # (distinct expressions often share large boolean substructure)
-        self._skeleton_cache: Dict[object, int] = {}
         # goal-root subset -> selector guarding its joint-refutation clause
         self._refutation_selectors: Dict[frozenset, int] = {}
         # Theory-atom bookkeeping: the theory loop only sends the simplex the
         # atoms of formulas actually in force (global assertions, open
         # scopes, the goal under test), not every atom the solver has ever
         # encoded — otherwise each check would drag the whole history of
-        # retired goals into every LIA call.
-        self._expr_atoms: Dict[Expr, frozenset] = {}
+        # retired goals into every LIA call.  The atoms of each formula come
+        # from its memo entry, so a memo hit still reports them.
         self._global_atoms: Set[int] = set()
         self._frame_atoms: List[Set[int]] = []
         # -- statistics ------------------------------------------------------
@@ -162,70 +161,66 @@ class IncrementalSolver:
 
     def assert_expr(self, expr: Expr) -> None:
         """Assert ``expr`` in the innermost scope (or globally when no scope
-        is open).  The expression must be quantifier-free."""
-        root = self.literal_for(expr)
-        atoms = self._expr_atoms.get(expr, frozenset())
-        if self._frames:
-            self._sat.add_clause([-self._frames[-1], root])
-            self._frame_atoms[-1] |= atoms
-        else:
-            self._sat.add_clause([root])
-            self._global_atoms |= atoms
+        is open).  The expression must be quantifier-free.
+
+        Each top-level conjunct is asserted on its own, so re-asserting a
+        conjunction that lost a conjunct reuses the literals of the rest.
+        """
+        memo = self._atomizer.memo
+        for conjunct in conjuncts_of(expr):
+            root = self.literal_for(conjunct)
+            atoms = memo[conjunct][1]
+            if self._frames:
+                self._sat.add_clause([-self._frames[-1], root])
+                self._frame_atoms[-1] |= atoms
+            else:
+                self._sat.add_clause([root])
+                self._global_atoms |= atoms
 
     def literal_for(self, expr: Expr) -> int:
-        """The Tseitin root literal equivalent to ``expr``, memoised.
+        """The Tseitin literal equivalent to ``expr``, memoised.
 
-        Encoding happens once per distinct expression: the definitional
-        clauses are inert until the literal is assumed or asserted, so the
-        same hypothesis or goal re-appearing in a later scope or check costs
-        a dictionary lookup instead of a CNF rebuild.  Side conditions
-        (if-then-else definitions) and Ackermann congruence axioms are
-        definitional/global facts and are asserted permanently.
+        ``expr`` itself goes into the atomizer's memo next to the nodes of
+        its preprocessed form, so the same hypothesis or goal re-appearing in
+        a later scope or check costs one dictionary lookup, and a new one
+        costs only its nodes the solver has not seen before.  Definitional
+        clauses are inert until the literal is assumed or asserted.  Side
+        conditions (if-then-else definitions) and Ackermann congruence axioms
+        are definitional/global facts and are asserted permanently.
+
+        An :class:`SmtError` raised here can leave preprocessor rewrites
+        memoised whose side conditions were never asserted, so later answers
+        of this solver are unsound: discard the solver after one, as
+        :meth:`repro.fixpoint.FixpointSolver._surviving_qualifiers` does.
         """
-        cached = self._root_cache.get(expr)
-        if cached is not None:
-            return cached
+        memo = self._atomizer.memo
+        entry = memo.get(expr)
+        if entry is not None:
+            return entry[0]
         if sys.getrecursionlimit() < 100000:
             sys.setrecursionlimit(100000)
-        for name, sort in free_var_sorts(expr).items():
-            self.sorts.setdefault(name, sort)
-        for name in free_vars(expr):
-            self.sorts.setdefault(name, INT)
+        if not self.sorts.keys() >= free_vars(expr):
+            for name, sort in free_var_sorts(expr).items():
+                self.sorts.setdefault(name, sort)
+            for name in free_vars(expr):
+                self.sorts.setdefault(name, INT)
         try:
             main, side = self._pre.rewrite_split(expr)
             side.extend(self._new_ackermann_axioms())
             # Side parts are asserted permanently, so their atoms are always
             # theory-relevant; the main part's atoms only while it is active.
-            side_atoms: Set[int] = set()
-            self._atomizer.touched = side_atoms
             for part in side:
                 prepared = simplify(part)
-                if prepared == TRUE:
+                if prepared is TRUE:
                     continue
-                self._sat.add_clause(
-                    [
-                        cnf.encode(
-                            self._sat,
-                            self._atomizer.skeleton(prepared),
-                            self._skeleton_cache,
-                        )
-                    ]
-                )
-            main_atoms: Set[int] = set()
-            self._atomizer.touched = main_atoms
-            root = cnf.encode(
-                self._sat,
-                self._atomizer.skeleton(simplify(main)),
-                self._skeleton_cache,
-            )
+                literal, atoms = self._atomizer.encode(prepared)
+                self._sat.add_clause([literal])
+                self._global_atoms |= atoms
+            entry = self._atomizer.encode(simplify(main))
         except AtomError as error:
             raise SmtError(str(error)) from error
-        finally:
-            self._atomizer.touched = None
-        self._global_atoms |= side_atoms
-        self._root_cache[expr] = root
-        self._expr_atoms[expr] = frozenset(main_atoms)
-        return root
+        memo[expr] = entry
+        return entry[0]
 
     def _new_ackermann_axioms(self) -> List[Expr]:
         """Ackermann congruence axioms for application pairs not yet covered.
@@ -267,7 +262,7 @@ class IncrementalSolver:
         """
         negated = not_(goal)
         root = self.literal_for(negated)
-        return self.check_sat_assuming([root], self._expr_atoms.get(negated, frozenset()))
+        return self.check_sat_assuming([root], self._atomizer.memo[negated][1])
 
     def check_valid(self, goal: Expr) -> bool:
         return self.check_valid_detailed(goal).is_unsat
@@ -285,11 +280,12 @@ class IncrementalSolver:
         a warm search — the engine under unsat-core-batched qualifier
         weakening.
         """
+        memo = self._atomizer.memo
         roots: List[int] = []
         atoms: Set[int] = set()
         for goal in goals:
             roots.append(self.literal_for(goal))
-            atoms |= self._expr_atoms.get(goal, frozenset())
+            atoms |= memo[goal][1]
         key = frozenset(roots)
         selector = self._refutation_selectors.get(key)
         if selector is None:

@@ -80,7 +80,6 @@ class SatSolver:
         self.num_conflicts = 0
         self.num_decisions = 0
         self.num_propagations = 0
-        self.num_theory_propagations = 0
         self.num_phase_saving_hits = 0
         # Cumulative totals at the entry of the current/most recent ``solve``
         # call; the ``solve_*`` properties read per-call deltas off them.
@@ -539,7 +538,6 @@ class SatSolver:
                 index = self._install_clause(clause)
                 if value is False:
                     return index
-                self.num_theory_propagations += 1
                 self._assign(implied, index)
         return -1
 

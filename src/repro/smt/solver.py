@@ -6,7 +6,8 @@ Pipeline (:func:`solve_formula`):
    uninterpreted function applications, elimination of numeric equalities and
    disequalities into inequalities, boolean-equality normalisation.
 2. *Propositional abstraction* — every linear-arithmetic atom becomes a SAT
-   variable; the boolean skeleton is Tseitin-encoded into the CDCL core.
+   variable and every other formula node one Tseitin literal (``&&``/``||``
+   chains as single n-ary nodes), memoised per interned node.
 3. *Lazy theory loop* — each propositional model is checked for
    theory-consistency with the LIA solver; conflicts come back as small
    explanations which become blocking clauses.
@@ -17,7 +18,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from repro.logic.expr import (
     binop,
@@ -37,6 +38,7 @@ from repro.logic.expr import (
     UnaryOp,
     Var,
     and_,
+    conjuncts_of,
     eq,
     implies,
     not_,
@@ -45,7 +47,6 @@ from repro.logic.expr import (
 from repro.logic.simplify import simplify
 from repro.logic.sorts import BOOL, INT, REAL, Sort
 from repro.logic.subst import free_var_sorts, free_vars
-from repro.smt import cnf
 from repro.smt.atoms import (
     AtomError,
     LinearAtom,
@@ -70,13 +71,22 @@ def _split_eq(lhs: Expr, rhs: Expr) -> Expr:
 
 @dataclass
 class _Preprocessor:
-    """Rewrites a formula into the skeleton-over-linear-atoms fragment."""
+    """Rewrites a formula into the skeleton-over-linear-atoms fragment.
+
+    Both rewrites are memoised per preprocessor, so an ``Ite`` term gets one
+    fresh variable however often it is met.  That is sound because a
+    preprocessor's side conditions are always asserted: the one-shot
+    pipeline folds them into its single query, and the incremental backend
+    asserts them permanently.
+    """
 
     sorts: Dict[str, Sort]
     side_conditions: List[Expr] = field(default_factory=list)
     _fresh: int = 0
     _app_cache: Dict[Expr, Var] = field(default_factory=dict)
     _apps_seen: List[Tuple[App, Var]] = field(default_factory=list)
+    _bool_memo: Dict[Expr, Expr] = field(default_factory=dict)
+    _term_memo: Dict[Expr, Expr] = field(default_factory=dict)
 
     def fresh_var(self, sort: Sort, hint: str) -> Var:
         self._fresh += 1
@@ -102,6 +112,13 @@ class _Preprocessor:
     # -- boolean layer ---------------------------------------------------------
 
     def rewrite_bool(self, expr: Expr) -> Expr:
+        rewritten = self._bool_memo.get(expr)
+        if rewritten is None:
+            rewritten = self._rewrite_bool(expr)
+            self._bool_memo[expr] = rewritten
+        return rewritten
+
+    def _rewrite_bool(self, expr: Expr) -> Expr:
         if isinstance(expr, BoolConst):
             return expr
         if isinstance(expr, Var):
@@ -160,6 +177,13 @@ class _Preprocessor:
     # -- term layer -------------------------------------------------------------
 
     def rewrite_term(self, expr: Expr) -> Expr:
+        rewritten = self._term_memo.get(expr)
+        if rewritten is None:
+            rewritten = self._rewrite_term(expr)
+            self._term_memo[expr] = rewritten
+        return rewritten
+
+    def _rewrite_term(self, expr: Expr) -> Expr:
         if isinstance(expr, (Var, IntConst, RealConst)):
             return expr
         if isinstance(expr, BoolConst):
@@ -263,50 +287,115 @@ def ackermann_axioms(
     return axioms
 
 
+_NO_ATOMS: FrozenSet[int] = frozenset()
+
+
 @dataclass
 class _Atomizer:
-    """Maps theory atoms and boolean variables to SAT variables.
+    """Tseitin-encodes preprocessed formulas into one SAT solver.
 
-    When ``touched`` is set (the incremental backend does this while encoding
-    one expression), every atom variable the skeleton references is recorded
-    there, so the theory loop can later restrict itself to the atoms of the
-    formulas actually in force.
+    Theory atoms and boolean variables become SAT variables; every other
+    node becomes one literal defined by clauses that stay inert until the
+    literal is used.  ``memo`` maps each interned node encoded so far to its
+    literal and to the theory-atom variables its encoding references, so a
+    node costs one dictionary lookup after its first encoding, and the
+    incremental backend can hand the simplex exactly the atoms of the
+    formulas in force.
     """
 
     solver: SatSolver
     sorts: Dict[str, Sort]
     atom_of_var: Dict[int, LinearAtom] = field(default_factory=dict)
     bool_var_of_name: Dict[str, int] = field(default_factory=dict)
-    touched: Optional[Set[int]] = None
+    memo: Dict[Expr, Tuple[int, FrozenSet[int]]] = field(default_factory=dict)
     _atom_cache: Dict[LinearAtom, int] = field(default_factory=dict)
-    # Interned comparison expression -> SAT variable.  Checked before the
-    # (semantic) LinearAtom cache: the expression lookup is an O(1) identity
-    # hash and skips re-linearisation of repeated atoms entirely.
-    _expr_cache: Dict[Expr, int] = field(default_factory=dict)
 
-    def skeleton(self, expr: Expr):
-        if isinstance(expr, BoolConst):
-            return cnf.const(expr.value)
-        if isinstance(expr, Var):
-            return cnf.lit(self._bool_var(expr.name))
-        if isinstance(expr, UnaryOp) and expr.op == "!":
-            return cnf.not_(self.skeleton(expr.operand))
+    def encode(self, expr: Expr) -> Tuple[int, FrozenSet[int]]:
+        """``(literal, atom variables)`` for ``expr``, memoised."""
+        entry = self.memo.get(expr)
+        if entry is None:
+            entry = self._encode_node(expr)
+            self.memo[expr] = entry
+        return entry
+
+    def _encode_node(self, expr: Expr) -> Tuple[int, FrozenSet[int]]:
         if isinstance(expr, BinOp):
-            if expr.op == "&&":
-                return cnf.and_(self.skeleton(expr.lhs), self.skeleton(expr.rhs))
-            if expr.op == "||":
-                return cnf.or_(self.skeleton(expr.lhs), self.skeleton(expr.rhs))
-            if expr.op == "=>":
-                return cnf.or_(cnf.not_(self.skeleton(expr.lhs)), self.skeleton(expr.rhs))
-            if expr.op == "<=>":
-                lhs, rhs = self.skeleton(expr.lhs), self.skeleton(expr.rhs)
-                return cnf.and_(
-                    cnf.or_(cnf.not_(lhs), rhs),
-                    cnf.or_(lhs, cnf.not_(rhs)),
-                )
-            if expr.op in CMP_OPS:
-                return cnf.lit(self._atom_var(expr))
+            op = expr.op
+            if op in CMP_OPS:
+                var = self._atom_var(expr)
+                return var, frozenset((var,))
+            if op == "&&" or op == "||":
+                return self._encode_chain(expr)
+            if op == "=>" or op == "<=>":
+                lhs, lhs_atoms = self.encode(expr.lhs)
+                rhs, rhs_atoms = self.encode(expr.rhs)
+                if op == "=>":
+                    return self._gate("||", [-lhs, rhs]), lhs_atoms | rhs_atoms
+                fresh = self.solver.new_var()
+                # fresh <-> (lhs <-> rhs)
+                for clause in (
+                    [-fresh, -lhs, rhs],
+                    [-fresh, lhs, -rhs],
+                    [fresh, lhs, rhs],
+                    [fresh, -lhs, -rhs],
+                ):
+                    self.solver.add_clause(clause)
+                return fresh, lhs_atoms | rhs_atoms
+        elif isinstance(expr, UnaryOp):
+            if expr.op == "!":
+                literal, atoms = self.encode(expr.operand)
+                return -literal, atoms
+        elif isinstance(expr, Var):
+            return self._bool_var(expr.name), _NO_ATOMS
+        elif expr is TRUE:
+            fresh = self.solver.new_var()
+            self.solver.add_clause([fresh])
+            return fresh, _NO_ATOMS
+        elif expr is FALSE:
+            return -self.encode(TRUE)[0], _NO_ATOMS
         raise SmtError(f"unexpected formula node after preprocessing: {expr}")
+
+    def _encode_chain(self, expr: BinOp) -> Tuple[int, FrozenSet[int]]:
+        """A whole ``&&``/``||`` chain as one n-ary node.
+
+        The chain is walked with an explicit stack and flattened down to the
+        nodes the memo already holds, which keep their literal: a conjunction
+        that drops one conjunct of an encoded one costs one variable, not a
+        new definition for every node above the dropped conjunct.
+        """
+        op = expr.op
+        memo = self.memo
+        literals: List[int] = []
+        atoms: Set[int] = set()
+        stack = [expr.rhs, expr.lhs]
+        while stack:
+            node = stack.pop()
+            if isinstance(node, BinOp) and node.op == op and node not in memo:
+                stack.append(node.rhs)
+                stack.append(node.lhs)
+                continue
+            literal, node_atoms = self.encode(node)
+            literals.append(literal)
+            atoms |= node_atoms
+        return self._gate(op, literals), frozenset(atoms)
+
+    def _gate(self, op: str, literals: List[int]) -> int:
+        """A literal equivalent to the ``&&`` or ``||`` of ``literals``:
+        one fresh variable and k+1 clauses for k distinct literals."""
+        literals = list(dict.fromkeys(literals))
+        if len(literals) == 1:
+            return literals[0]
+        fresh = self.solver.new_var()
+        add = self.solver.add_clause
+        if op == "&&":
+            for literal in literals:
+                add([-fresh, literal])
+            add([fresh] + [-literal for literal in literals])
+        else:
+            for literal in literals:
+                add([fresh, -literal])
+            add([-fresh] + literals)
+        return fresh
 
     def _bool_var(self, name: str) -> int:
         var = self.bool_var_of_name.get(name)
@@ -316,17 +405,12 @@ class _Atomizer:
         return var
 
     def _atom_var(self, expr: BinOp) -> int:
-        var = self._expr_cache.get(expr)
+        atom = normalize_comparison(expr.op, expr.lhs, expr.rhs, self.sorts)
+        var = self._atom_cache.get(atom)
         if var is None:
-            atom = normalize_comparison(expr.op, expr.lhs, expr.rhs, self.sorts)
-            var = self._atom_cache.get(atom)
-            if var is None:
-                var = self.solver.new_var()
-                self._atom_cache[atom] = var
-                self.atom_of_var[var] = atom
-            self._expr_cache[expr] = var
-        if self.touched is not None:
-            self.touched.add(var)
+            var = self.solver.new_var()
+            self._atom_cache[atom] = var
+            self.atom_of_var[var] = atom
         return var
 
 
@@ -403,11 +487,13 @@ def _run_online(
 
     if theory is None:
         theory = TheorySolver(atomizer.atom_of_var)
+    # The clock starts before ``begin_check``: ``finish_check`` charges its
+    # time to ``theory_time``, which is subtracted from the total below.
+    started = time.perf_counter()
     # ``begin_check`` zeroes the theory solver's typed per-check record;
     # ``finish_check`` completes and returns it — no snapshot/diff dance.
     theory.begin_check(active_atoms, int_vars, max_theory_rounds)
     sat.attach_theory(theory)
-    started = time.perf_counter()
     unknown_reason: Optional[str] = None
     assignment: Optional[Dict[int, bool]] = None
     try:
@@ -558,10 +644,10 @@ def solve_formula(
     sat = SatSolver()
     atomizer = _Atomizer(solver=sat, sorts=sort_env)
     try:
-        skeleton = atomizer.skeleton(prepared)
+        for conjunct in conjuncts_of(prepared):
+            sat.add_clause([atomizer.encode(conjunct)[0]])
     except AtomError as error:
         raise SmtError(str(error)) from error
-    cnf.add_formula(sat, skeleton)
 
     int_vars = {name for name, sort in sort_env.items() if sort in (INT, BOOL)}
     return run_theory_loop(sat, atomizer, int_vars, max_theory_rounds, engine=engine)

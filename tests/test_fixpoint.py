@@ -292,6 +292,43 @@ class TestStrategies:
             solver.solve(c_pred(ge(Var("x"), 0)))
 
 
+class TestClauseHypotheses:
+    def test_lazy_hypotheses_equal_eager_ones_after_unrelated_weakening(self):
+        """A clause substitutes only the κs its hypotheses mention; weakening
+        any other κ must leave its hypotheses exactly as a substitution of
+        every κ's solution would build them."""
+        v, n = Var("v"), Var("n")
+        solver = FixpointSolver()
+        for name in ("k1", "k2", "k3"):
+            solver.declare(KVarDecl(name, (("v", INT),)))
+        clause = flatten(
+            c_forall(
+                "n",
+                INT,
+                KVar("k3", (n,)),
+                c_forall("v", INT, and_(KVar("k1", (v,)), ge(v, n)), c_pred(KVar("k2", (v,)))),
+            )
+        )[0]
+        candidate = {
+            name: instantiate_qualifiers(decl, solver.qualifiers)
+            for name, decl in solver.kvar_decls.items()
+        }
+
+        def eager():
+            solution = {name: and_(*predicates) for name, predicates in candidate.items()}
+            return [
+                apply_solution(hypothesis, solution, solver.kvar_decls)
+                for hypothesis in clause.hypotheses
+            ]
+
+        for name, keep in (("k2", slice(1, None)), ("k1", slice(2, None)), ("k2", slice(0, 0))):
+            candidate[name] = candidate[name][keep]
+            lazy, _ = solver._clause_hypotheses(clause, candidate)
+            assert lazy == eager()
+        # the mentioned κs still have qualifiers, so the comparison has teeth
+        assert candidate["k1"] and candidate["k3"]
+
+
 class TestIterationBudget:
     def test_budget_exhaustion_returns_structured_result(self):
         """Exhausting ``max_iterations`` must not raise a bare exception:

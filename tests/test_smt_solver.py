@@ -203,3 +203,35 @@ class TestQuantifiers:
         i, n = Var("i"), Var("n")
         goal = Forall((("i", INT),), implies(lt(i, n), lt(i, add(n, 1))))
         assert is_valid([], goal)
+
+
+class TestTimeAccounting:
+    def test_begin_check_time_is_not_taken_from_sat_time(self, monkeypatch):
+        """``begin_check`` is theory time, and ``sat_time`` is the rest of
+        the check.  With SAT search slowed by a known sleep and
+        ``begin_check`` by a longer one, ``sat_time`` must still cover the
+        SAT sleep: a clock started after ``begin_check`` subtracts its time
+        from the SAT column and clamps it at zero."""
+        import time
+
+        from repro.smt.sat import SatSolver
+        from repro.smt.theory import TheorySolver
+
+        sat_sleep, begin_sleep = 0.05, 0.15
+        register_active = TheorySolver._register_active
+        solve = SatSolver.solve
+
+        def slow_register_active(self):
+            time.sleep(begin_sleep)
+            return register_active(self)
+
+        def slow_solve(self, *args, **kwargs):
+            time.sleep(sat_sleep)
+            return solve(self, *args, **kwargs)
+
+        monkeypatch.setattr(TheorySolver, "_register_active", slow_register_active)
+        monkeypatch.setattr(SatSolver, "solve", slow_solve)
+        answer = solve_formula(and_(ge(x, 0), or_(lt(x, 3), gt(y, x))), engine="online")
+        assert answer.is_sat
+        assert answer.stats.theory_time >= begin_sleep
+        assert answer.stats.sat_time >= sat_sleep
