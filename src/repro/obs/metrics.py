@@ -40,8 +40,10 @@ LATENCY_BUCKETS_SECONDS: Tuple[float, ...] = (
     0.0005, 0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1.0, 2.5,
 )
 
-#: Theory-conflict explanation sizes in literals.  Drop-one shrinking targets
-#: the 4–48 range (see ``repro.smt.theory``); 1–2 literal cores dominate.
+#: Theory-conflict explanation sizes in literals.  Simplex cores (a bound
+#: clash or one row) pass through as they are; drop-one shrinking only trims
+#: branch-and-bound fallback cores of 4–48 literals (see
+#: ``repro.smt.theory``).  1–2 literal cores dominate.
 EXPLANATION_SIZE_BUCKETS: Tuple[float, ...] = (1, 2, 3, 4, 6, 8, 12, 16, 24, 32, 48)
 
 #: Simplex pivots per satisfiability check.  Most checks re-use a warm

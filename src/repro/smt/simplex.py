@@ -36,7 +36,7 @@ import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple, Union
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple, Union
 
 Rational = Union[int, Fraction]
 
@@ -233,12 +233,19 @@ class Simplex:
             vid = self._ensure_var(name)
             return self._assert_scaled_bound(vid, coeff, constraint, origin)
 
-        slack = self._install_row(coeffs)
+        slack = self._install_row(coeffs.items())
         return self._assert_scaled_bound(slack, 1, constraint, origin)
 
-    def _install_row(self, coeffs: Dict[str, Rational]) -> int:
-        """Create a slack variable defined as ``sum coeffs . x`` (a new row)."""
-        ids = [(self._ensure_var(name), coeff) for name, coeff in coeffs.items()]
+    def _install_row(
+        self, terms: Iterable[Tuple[str, Rational]], slack: Optional[int] = None
+    ) -> int:
+        """Define a slack variable as ``sum terms`` (a new row) and set its value.
+
+        A fresh slack is created unless ``slack`` names an existing one whose
+        row is being rebuilt.  Basic variables among the terms are replaced
+        by their rows, so the row is over the current nonbasic variables.
+        """
+        ids = [(self._ensure_var(name), coeff) for name, coeff in terms]
         row: Dict[int, Rational] = {}
         rows = self._rows
         for vid, coeff in ids:
@@ -250,7 +257,8 @@ class Simplex:
             else:
                 row[vid] = row.get(vid, 0) + coeff
         row = {j: c for j, c in row.items() if c != 0}
-        slack = self._new_id(self._fresh_slack(), is_slack=True)
+        if slack is None:
+            slack = self._new_id(self._fresh_slack(), is_slack=True)
         rows[slack] = row
         cols = self._cols
         for j in row:
@@ -564,7 +572,7 @@ class Simplex:
         Any positive rational value small enough works for delta; we compute
         one that keeps all strict inequalities strict.
         """
-        delta = self._concrete_delta(restricted=False)
+        delta = self._concrete_delta()
         model = {}
         is_slack = self._is_slack
         vreal = self._vreal
@@ -575,12 +583,11 @@ class Simplex:
             model[name] = vreal[vid] + veps[vid] * delta
         return model
 
-    def _concrete_delta(self, restricted: bool) -> Rational:
+    def _concrete_delta(self) -> Rational:
         """A concrete positive value for the infinitesimal.
 
-        Scans every bound (only bounded variables constrain how large delta
-        may be — the ``restricted`` flag is documentation of that fact; both
-        modes iterate the bound arrays, which already skip unbounded vars).
+        Scans the bound arrays: only bounded variables constrain how large
+        delta may be.
         """
         delta: Rational = 1
         vreal = self._vreal
@@ -639,22 +646,35 @@ class BacktrackableSimplex(Simplex):
     """A :class:`Simplex` whose bound assertions can be retracted.
 
     The Dutertre–de Moura split between *definitions* and *assertions* makes
-    this cheap: tableau rows (slack-variable definitions) are permanent and
-    shared by every check, while asserting an atom only tightens a bound on
-    one variable.  Each tightening pushes an undo record — ``(var, which
-    side, previous bound)`` — onto a trail; :meth:`undo_to` pops back to a
-    :meth:`mark`, so retracting an atom is O(bounds changed), never a tableau
-    rebuild.  Pivots need no undo: they preserve the row system's solution
-    set, and variable values stay row-consistent across retraction because
-    bounds only ever *loosen* on the way back.
+    this cheap: slack-variable definitions are shared by every check, while
+    asserting an atom only tightens a bound on one variable.  Each
+    tightening pushes an undo record — ``(var, which side, previous bound)``
+    — onto a trail; :meth:`undo_to` pops back to a :meth:`mark`, so
+    retracting an atom is O(bounds changed), never a tableau rebuild.
+    Pivots need no undo: they preserve the row system's solution set, and
+    variable values stay row-consistent across retraction because bounds
+    only ever *loosen* on the way back.
+
+    A slack's row is kept only while an atom over it is in force:
+    :meth:`retire_rows` drops the rows of unbounded basic slacks outside
+    the current check, so pivots stop rewriting them, and
+    :meth:`assert_bound` rebuilds a retired row from its definition before
+    bounding it.  This changes no pivot: a basic variable's row over the
+    current nonbasic variables is unique, so the rebuilt row and value are
+    the ones the tableau would have maintained; and an unbounded basic
+    variable appears in no other row and never violates a bound, so Bland's
+    rule never selects it to leave or to enter the basis.
     """
 
     def __init__(self) -> None:
         super().__init__()
         # (var id, is_upper, previous bound or None) — LIFO undo records
         self._trail: List[Tuple[int, bool, Optional[_Bound]]] = []
-        # canonical coefficient tuple -> slack id defining that term
+        # canonical coefficient tuple -> slack id defining that term, and back
         self._term_slacks: Dict[Tuple[Tuple[str, Rational], ...], int] = {}
+        self._definition: Dict[int, Tuple[Tuple[str, Rational], ...]] = {}
+        # slack ids whose row :meth:`retire_rows` dropped
+        self._retired: Set[int] = set()
         #: (var name, is_upper) bound tightenings since the caller last
         #: drained this list; the theory layer scans them for implied atoms.
         self.tightened: List[Tuple[str, bool]] = []
@@ -675,14 +695,14 @@ class BacktrackableSimplex(Simplex):
             else:
                 lower[vid] = previous
 
-    # -- definitions (permanent) ---------------------------------------------
+    # -- definitions ---------------------------------------------------------
 
     def term_var(self, coeffs: Dict[str, Rational]) -> str:
         """The variable standing for ``sum coeffs . x`` (memoised).
 
         A unit single-variable term is the variable itself; anything else
-        gets a slack variable with a permanent row.  Rows are definitions,
-        not assertions, so they are never retracted.
+        gets a slack variable defined by a row.  Definitions are not
+        assertions, so backtracking never retracts them.
         """
         if len(coeffs) == 1:
             (name, coeff), = coeffs.items()
@@ -692,9 +712,37 @@ class BacktrackableSimplex(Simplex):
         key = tuple(sorted(coeffs.items()))
         slack = self._term_slacks.get(key)
         if slack is None:
-            slack = self._install_row(coeffs)
+            slack = self._install_row(coeffs.items())
             self._term_slacks[key] = slack
+            self._definition[slack] = key
         return self._name[slack]
+
+    def retire_rows(self, in_force: Set[str]) -> None:
+        """Drop the rows of unbounded basic slacks not named in ``in_force``.
+
+        The caller names every tableau variable its atoms in force can
+        bound; rows outside that set only cost pivot work until
+        :meth:`assert_bound` rebuilds them.  Original variables keep their
+        rows, because models read their values.
+        """
+        rows = self._rows
+        cols = self._cols
+        name = self._name
+        lower = self._lower
+        upper = self._upper
+        stale = [
+            vid
+            for vid in rows
+            if vid in self._definition
+            and name[vid] not in in_force
+            and lower[vid] is None
+            and upper[vid] is None
+        ]
+        for vid in stale:
+            for j, _ in _row_items(rows.pop(vid)):
+                cols[j].discard(vid)
+            self._dirty.discard(vid)
+        self._retired.update(stale)
 
     # -- bound assertion (retractable) ---------------------------------------
     # The comparison/conflict logic lives in the base class; these hooks add
@@ -714,6 +762,9 @@ class BacktrackableSimplex(Simplex):
     ) -> Optional[Set[int]]:
         """Tighten one bound; returns a conflict explanation or ``None``."""
         vid = self._ensure_var(name)
+        if vid in self._retired:
+            self._retired.discard(vid)
+            self._install_row(self._definition[vid], vid)
         if is_upper:
             return self._assert_upper(vid, value, origin)
         return self._assert_lower(vid, value, origin)
@@ -809,7 +860,7 @@ class BacktrackableSimplex(Simplex):
 
         Only variables carrying a bound constrain how large delta may be;
         on a persistent tableau this skips the (stale) majority."""
-        return self._concrete_delta(restricted=True)
+        return self._concrete_delta()
 
     def restricted_model(self, names) -> Dict[str, Rational]:
         """Concretised values of ``names`` (variables the caller cares about)."""

@@ -7,8 +7,8 @@ replacement: a :class:`TheorySolver` sits inside the CDCL search (via
 
 * **asserts atoms as they are assigned** — each atom literal becomes one or
   two bound tightenings on a :class:`repro.smt.simplex.BacktrackableSimplex`
-  whose slack rows are permanent, so asserting/retracting costs O(changed
-  bounds), never a tableau rebuild;
+  whose slack definitions persist across checks, so asserting/retracting
+  costs O(changed bounds), never a tableau rebuild;
 * **checks partial assignments** — a rational feasibility check runs before
   every SAT decision, so theory conflicts surface long before a model is
   complete;
@@ -17,10 +17,13 @@ replacement: a :class:`TheorySolver` sits inside the CDCL search (via
   value is implied; it is enqueued with a one-literal *theory reason* and
   becomes a propagation in the SAT core instead of a decision to be
   rediscovered and refuted;
-* **explains conflicts minimally** — simplex explanations are shrunk by
-  drop-one core minimisation (re-checking each ``core - {lit}`` with a
-  bounded LIA call), so learned clauses prune as much of the search as the
-  theory can justify;
+* **explains conflicts with irreducible simplex cores** — a clash between
+  two bounds, or a violated row's bound plus the blocking bound of every
+  nonbasic variable in it.  Such a core is a Farkas combination,
+  irreducible over the rationals, so it passes through unchanged; drop-one
+  shrinking (re-checking each ``core - {lit}`` with a bounded LIA call)
+  runs only on the full asserted-atom set that branch-and-bound falls back
+  to when every refutation leaned on a branching cut;
 * **decides integers at the end** — branch-and-bound runs on the live
   tableau only at full assignments, sharing all pivoting work with the
   search instead of re-deriving it per candidate model.
@@ -28,7 +31,9 @@ replacement: a :class:`TheorySolver` sits inside the CDCL search (via
 The solver is persistent: one instance serves every check of an
 :class:`repro.smt.IncrementalSolver`, with :meth:`begin_check` re-arming the
 per-check state (active-atom mask, integer sorts, round budget) while the
-tableau, slack definitions and bound conversions carry over.
+tableau, slack definitions and bound conversions carry over.  Slack rows
+that no active atom can bound are retired for the check and rebuilt on
+demand (see :meth:`BacktrackableSimplex.retire_rows`).
 """
 
 from __future__ import annotations
@@ -60,6 +65,15 @@ class TheoryUnknown(Exception):
 #: clause saves.
 SHRINK_MIN_LITERALS = 4
 SHRINK_MAX_LITERALS = 48
+#: Branch-and-bound nodes per drop-one LIA call.
+SHRINK_NODE_BUDGET = 400
+#: Per-check budget of drop-one shrink rounds.  Each round is a from-scratch
+#: bounded LIA check, so an adversarial conflict stream could otherwise let
+#: minimisation dominate theory time; unlike the round budget it merely
+#: degrades explanation minimality instead of raising :class:`TheoryUnknown`.
+SHRINK_BUDGET = 128
+#: Branch-and-bound nodes per final check before the answer is *unknown*.
+MAX_FINAL_NODES = 2000
 
 
 def _injected_bug() -> str:
@@ -78,7 +92,7 @@ def _injected_bug() -> str:
     pipeline sets the variable.
     """
     return os.environ.get("REPRO_INJECT_THEORY_BUG", "")
-SHRINK_NODE_BUDGET = 400
+
 
 _Bounds = Tuple[Tuple[str, bool, DeltaRational], ...]
 
@@ -86,27 +100,11 @@ _Bounds = Tuple[Tuple[str, bool, DeltaRational], ...]
 class TheorySolver:
     """Backtrackable LIA theory state shared by one SAT core."""
 
-    #: Default per-check budget of drop-one shrink rounds.  Each round is a
-    #: from-scratch bounded LIA check, so an adversarial conflict stream
-    #: could otherwise let minimisation dominate theory time; the budget
-    #: mirrors ``max_theory_rounds`` but merely degrades explanation
-    #: minimality instead of raising :class:`TheoryUnknown`.
-    DEFAULT_SHRINK_BUDGET = 128
-
-    def __init__(
-        self,
-        atom_of_var: Dict[int, LinearAtom],
-        max_final_nodes: int = 2000,
-        max_shrink_rounds: Optional[int] = None,
-    ) -> None:
+    def __init__(self, atom_of_var: Dict[int, LinearAtom]) -> None:
         # Shared with the atomizer and grows in place as new atoms are encoded.
         self._atom_of_var = atom_of_var
         self._simplex = BacktrackableSimplex()
-        self.max_final_nodes = max_final_nodes
-        self.max_shrink_rounds = (
-            self.DEFAULT_SHRINK_BUDGET if max_shrink_rounds is None else max_shrink_rounds
-        )
-        self._shrink_rounds_left = self.max_shrink_rounds
+        self._shrink_rounds_left = SHRINK_BUDGET
         # literal -> bound tightenings ((tableau var, is_upper, value), ...)
         self._bounds_of_lit: Dict[int, _Bounds] = {}
         # literal -> source-level variables of its linear term; the union
@@ -162,7 +160,8 @@ class TheorySolver:
 
         Retracts every assertion left over from the previous check (the
         level-0 trail is re-fed by the SAT core under the *current* activity
-        mask) but keeps the tableau, slack rows and bound conversions.
+        mask) but keeps the tableau, slack definitions and bound
+        conversions; rows that no active atom can bound are retired.
         """
         # Chaos site: the generalised successor of REPRO_INJECT_THEORY_BUG —
         # a planned hang/OOM/slow-io fires at the entry of every theory
@@ -174,13 +173,13 @@ class TheorySolver:
         self._time_at_begin = self.time_spent
         started = time.perf_counter()
         self.shrink_to_trail(0)
-        self._shrink_rounds_left = self.max_shrink_rounds
+        self._shrink_rounds_left = SHRINK_BUDGET
         self._active = set(active_atoms) if active_atoms is not None else None
         self._int_vars = set(int_vars)
         self._rounds = 0
         self._max_rounds = max_rounds
         self.last_model = None
-        self._register_active()
+        self._simplex.retire_rows(self._register_active())
         self.time_spent += time.perf_counter() - started
 
     def shrink_to_trail(self, trail_length: int) -> None:
@@ -197,21 +196,31 @@ class TheorySolver:
 
     # -- atom registration ---------------------------------------------------
 
-    def _register_active(self) -> None:
-        """Make both polarities of every active atom propagation-visible."""
+    def _register_active(self) -> Set[str]:
+        """Make both polarities of every active atom propagation-visible.
+
+        Returns the tableau variables the active atoms can bound.
+        """
         atom_vars = self._active if self._active is not None else self._atom_of_var.keys()
+        bounds_of_lit = self._bounds_of_lit
+        in_force: Set[str] = set()
         for var in atom_vars:
-            if var in self._registered or var not in self._atom_of_var:
+            if var not in self._atom_of_var:
                 continue
-            self._registered.add(var)
+            if var not in self._registered:
+                self._registered.add(var)
+                for lit in (var, -var):
+                    try:
+                        bounds = self._literal_bounds(lit)
+                    except AtomError:
+                        continue  # e.g. the negation of an equality atom
+                    if len(bounds) == 1:
+                        svar, is_upper, value = bounds[0]
+                        self._atoms_on_var.setdefault(svar, []).append((lit, is_upper, value))
             for lit in (var, -var):
-                try:
-                    bounds = self._literal_bounds(lit)
-                except AtomError:
-                    continue  # e.g. the negation of an equality atom
-                if len(bounds) == 1:
-                    svar, is_upper, value = bounds[0]
-                    self._atoms_on_var.setdefault(svar, []).append((lit, is_upper, value))
+                for svar, _, _ in bounds_of_lit.get(lit, ()):
+                    in_force.add(svar)
+        return in_force
 
     def _literal_bounds(self, lit: int) -> _Bounds:
         cached = self._bounds_of_lit.get(lit)
@@ -370,7 +379,7 @@ class TheorySolver:
             relevant_ints = self._int_vars & relevant
             self._snap_free_int_values(relevant_ints)
             status, explanation, model, _ = simplex.check_integer(
-                relevant_ints, self.max_final_nodes, model_names=relevant
+                relevant_ints, MAX_FINAL_NODES, model_names=relevant
             )
             simplex.tightened.clear()  # branch-bound events are not propagatable
             if status == "unknown":
@@ -381,8 +390,9 @@ class TheorySolver:
             if explanation is None:
                 # Every refutation leaned on a branching cut: the only
                 # certified core is the full asserted-atom set; drop-one
-                # shrinking below recovers a small clause when one exists.
-                explanation = {lit for lit, _, _ in self._stack}
+                # shrinking recovers a small clause when one exists.
+                fallback = sorted({lit for lit, _, _ in self._stack})
+                return self._finish_explanation(fallback, shrink=True)
             return self._finish_explanation(sorted(explanation))
         finally:
             self.time_spent += time.perf_counter() - started
@@ -407,10 +417,18 @@ class TheorySolver:
         if self._max_rounds and self._rounds > self._max_rounds:
             raise TheoryUnknown("theory-refinement round budget exhausted")
 
-    def _finish_explanation(self, lits: List[int]) -> List[int]:
+    def _finish_explanation(self, lits: List[int], shrink: bool = False) -> List[int]:
+        """Count one conflict explanation; drop-one shrink it if asked.
+
+        Simplex cores (a bound clash, or one row's bounds) are irreducible
+        over the rationals: the row's nonbasic variables are independent, so
+        dropping any bound lets the row be satisfied.  Drop-one over the
+        integers could then only succeed through integrality, so only the
+        branch-and-bound fallback asks for it.
+        """
         self._bump_round()
         lits = [lit for lit in lits if lit != INTERNAL_ORIGIN]
-        if SHRINK_MIN_LITERALS <= len(lits) <= SHRINK_MAX_LITERALS:
+        if shrink and SHRINK_MIN_LITERALS <= len(lits) <= SHRINK_MAX_LITERALS:
             lits = self._shrink(lits)
         self.explanations += 1
         self.explanation_literals += len(lits)
@@ -420,7 +438,7 @@ class TheorySolver:
         return lits
 
     def _shrink(self, lits: List[int]) -> List[int]:
-        """Drop-one core minimisation over the explanation's literal set.
+        """Drop-one core minimisation of a branch-and-bound fallback core.
 
         Each drop-one round spends one unit of the per-check shrink budget;
         once exhausted, remaining cores pass through unshrunk (sound, merely

@@ -1,11 +1,17 @@
 """Unit tests for the exact simplex and the LIA branch-and-bound layer."""
 
+import random
 from fractions import Fraction
 
 import pytest
 
 from repro.smt.lia import check_lia
-from repro.smt.simplex import Constraint, DeltaRational, check_constraints
+from repro.smt.simplex import (
+    BacktrackableSimplex,
+    Constraint,
+    DeltaRational,
+    check_constraints,
+)
 
 
 def C(coeffs, op, bound):
@@ -197,3 +203,58 @@ class TestLia:
         ]
         result = check_lia(constraints, {"x", "y"}, max_nodes=1)
         assert result.status in ("unknown", "unsat")
+
+
+class TestConflictIrreducibility:
+    """Every conflict of the backtrackable simplex is irreducible over the
+    rationals: a bound clash, or one row's violated bound plus the blocking
+    bound of each nonbasic variable in that row.  The theory solver relies on
+    this to pass such cores through without drop-one shrinking."""
+
+    NAMES = ("a", "b", "c", "d")
+
+    def _random_term(self, rng):
+        names = rng.sample(self.NAMES, rng.randint(1, 3))
+        return {name: rng.choice([-3, -2, -1, 1, 2, 3]) for name in names}
+
+    def _conflicts(self, seed):
+        """Drive one seeded run; yields ``(conflict, constraint of origin)``."""
+        rng = random.Random(seed)
+        simplex = BacktrackableSimplex()
+        terms = [self._random_term(rng) for _ in range(12)]
+        constraint_of = {}
+        marks = []
+        for origin in range(1, 81):
+            coeffs = rng.choice(terms)
+            is_upper = rng.random() < 0.5
+            limit = rng.randint(-20, 20)
+            strict = rng.random() < 0.25
+            eps = (-1 if is_upper else 1) if strict else 0
+            op = ("<" if strict else "<=") if is_upper else (">" if strict else ">=")
+            constraint_of[origin] = Constraint(dict(coeffs), op, limit)
+            marks.append(simplex.mark())
+            name = simplex.term_var(coeffs)
+            conflict = simplex.assert_bound(name, is_upper, DeltaRational(limit, eps), origin)
+            if conflict is None:
+                conflict = simplex.feasible()
+            if conflict is not None:
+                yield conflict, constraint_of
+                # backtrack like the SAT core: at least past the culprit
+                keep = rng.randrange(len(marks))
+                simplex.undo_to(marks[keep])
+                del marks[keep:]
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_conflicts_are_infeasible_and_drop_one_feasible(self, seed):
+        checked = 0
+        runs = (self._conflicts(31_000 + 3 * seed + k) for k in range(3))
+        for conflict, constraint_of in (pair for run in runs for pair in run):
+            core = sorted(conflict)
+            assert not check_constraints([constraint_of[o] for o in core]).satisfiable
+            for dropped in core:
+                rest = [constraint_of[o] for o in core if o != dropped]
+                assert check_constraints(rest).satisfiable, (
+                    f"core {core} stays infeasible without {dropped}"
+                )
+            checked += 1
+        assert checked > 0

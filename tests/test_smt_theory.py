@@ -30,10 +30,12 @@ from repro.logic.expr import (
 )
 from repro.logic.sorts import INT
 from repro.smt import IncrementalSolver, SatResult
+from repro.smt.atoms import LinearAtom, LinTerm, atom_constraint
+from repro.smt.lia import check_lia
 from repro.smt.sat import SatSolver
-from repro.smt.simplex import BacktrackableSimplex, DeltaRational
+from repro.smt.simplex import BacktrackableSimplex, DeltaRational, _row_items
 from repro.smt.solver import solve_formula
-from repro.smt.theory import TheorySolver
+from repro.smt.theory import TheorySolver, TheoryUnknown
 
 
 @pytest.fixture(autouse=True)
@@ -266,7 +268,11 @@ class TestBudgets:
 
 class TestExplanationShrinking:
     def test_core_dropone_removes_padding(self):
-        """Irrelevant asserted atoms must not survive into the explanation."""
+        """Irrelevant asserted atoms must not survive into the explanation.
+
+        No drop-one shrinking is involved: the simplex explanation names
+        only the clashing bounds, so the padding never enters it.
+        """
         x = Var("x")
         pads = [Var(f"p{i}") for i in range(6)]
         solver = IncrementalSolver()
@@ -276,8 +282,160 @@ class TestExplanationShrinking:
         solver.assert_expr(ge(x, 5))
         assert solver.check_valid(ge(x, 1))
         solver.pop()
-        # The refutation's conflict is {x >= 5, x < 1}; with six padding
-        # atoms asserted the average explanation must stay far below the
-        # asserted-atom count.
+        # The refutation's conflict is the bound clash {x >= 5, x < 1}; with
+        # six padding atoms asserted the average explanation stays far below
+        # the asserted-atom count.
         if solver.explanations:
             assert solver.explanation_literals / solver.explanations <= 4
+
+    def test_branch_and_bound_fallback_is_shrunk(self):
+        """``2x - 2y = 1`` with ``0 <= x, y <= 3`` is rationally feasible but
+        has no integer solution.  Every branch-and-bound refutation leans on
+        a branching cut, so the final check falls back to the full asserted
+        set, and drop-one shrinking must trim the padding from it."""
+        atoms = {
+            1: LinearAtom(LinTerm((("x", 2), ("y", -2)), -1), "=", True),
+            2: LinearAtom(LinTerm((("x", -1),), 0), "<=", True),  # x >= 0
+            3: LinearAtom(LinTerm((("x", 1),), -3), "<=", True),  # x <= 3
+            4: LinearAtom(LinTerm((("y", -1),), 0), "<=", True),  # y >= 0
+            5: LinearAtom(LinTerm((("y", 1),), -3), "<=", True),  # y <= 3
+        }
+        padding = set()
+        for index in range(4):  # p_i + q_i <= 7
+            var = 6 + index
+            atoms[var] = LinearAtom(LinTerm(((f"p{index}", 1), (f"q{index}", 1)), -7), "<=", True)
+            padding.add(var)
+        int_vars = {"x", "y"} | {f"{n}{i}" for n in "pq" for i in range(4)}
+        theory = TheorySolver(atoms)
+        theory.begin_check(None, int_vars, 5000)
+        for position, lit in enumerate(sorted(atoms)):
+            assert theory.assert_literal(lit, position) is None
+        assert theory.partial_check() is None
+        explanation = theory.final_check()
+        assert explanation is not None
+        assert theory.check.core_shrink_rounds > 0
+        assert padding.isdisjoint(explanation)
+        core = [atom_constraint(atoms[lit]) for lit in explanation]
+        assert check_lia(core, int_vars).status == "unsat"
+
+    def test_simplex_cores_pass_through_unshrunk(self):
+        """Row explanations are irreducible over the rationals: a partial
+        check's conflict is learned as is, with no drop-one rounds."""
+        atoms = {
+            1: LinearAtom(LinTerm((("x", -1), ("y", -1)), 10), "<=", True),  # x + y >= 10
+            2: LinearAtom(LinTerm((("x", 1),), -2), "<=", True),  # x <= 2
+            3: LinearAtom(LinTerm((("y", 1), ("z", 1)), -3), "<=", True),  # y + z <= 3
+            4: LinearAtom(LinTerm((("z", -1),), 0), "<=", True),  # z >= 0
+        }
+        theory = TheorySolver(atoms)
+        theory.begin_check(None, {"x", "y", "z"}, 5000)
+        for position, lit in enumerate(sorted(atoms)):
+            assert theory.assert_literal(lit, position) is None
+        assert theory.partial_check() == [1, 2, 3, 4]
+        assert theory.check.core_shrink_rounds == 0
+
+
+class TestRowRetirement:
+    """Retiring the rows of atoms not in force changes nothing observable.
+
+    A twin solver whose retirement is a no-op keeps every row up to date;
+    both must pivot, explain, propagate and model identically."""
+
+    NAMES = ("a", "b", "c", "d")
+
+    def _atom_table(self, rng, count):
+        table = {}
+        for var in range(1, count + 1):
+            names = sorted(rng.sample(self.NAMES, rng.randint(1, 3)))
+            coeffs = tuple((name, rng.choice([-2, -1, 1, 2, 3])) for name in names)
+            op = rng.choice(["<=", "<=", "<=", "<", "="])
+            term = LinTerm(coeffs, rng.randint(-8, 8))
+            table[var] = LinearAtom(term, op, op != "<")
+        return table
+
+    @staticmethod
+    def _final(theory):
+        try:
+            explanation = theory.final_check()
+        except TheoryUnknown:
+            return "unknown"
+        return explanation if explanation is not None else theory.last_model
+
+    @staticmethod
+    def _check_record(theory):
+        record = theory.finish_check().to_dict()
+        del record["theory_time"]
+        return record
+
+    def test_retirement_is_invisible(self):
+        retired = rebuilt = 0
+        for seed in range(16):
+            rng = random.Random(55_000 + seed)
+            table = self._atom_table(rng, 14)
+            pair = [TheorySolver(table), TheorySolver(table)]
+            pair[1]._simplex.retire_rows = lambda in_force: None
+            simplex = pair[0]._simplex
+            for _ in range(10):
+                active = set(rng.sample(sorted(table), rng.randint(3, 10)))
+                before = set(simplex._retired)
+                for theory in pair:
+                    theory.begin_check(active, set(self.NAMES), 5000)
+                retired += len(simplex._retired - before)
+                trail = []
+                for _ in range(rng.randint(4, 16)):
+                    roll = rng.random()
+                    free = sorted(active - {abs(lit) for lit in trail})
+                    if roll < 0.6 and free:
+                        var = rng.choice(free)
+                        lit = var if table[var].op == "=" or rng.random() < 0.5 else -var
+                        trail.append(lit)
+                        before = set(simplex._retired)
+                        results = [t.assert_literal(lit, len(trail) - 1) for t in pair]
+                        rebuilt += len(before - simplex._retired)
+                        queues = [t.drain_propagations() for t in pair]
+                        assert queues[0] == queues[1]
+                    elif roll < 0.8:
+                        results = [t.partial_check() for t in pair]
+                    elif roll < 0.9:
+                        results = [self._final(t) for t in pair]
+                    else:
+                        keep = rng.randrange(len(trail) + 1)
+                        for theory in pair:
+                            theory.shrink_to_trail(keep)
+                        del trail[keep:]
+                        results = [None, None]
+                    assert results[0] == results[1], f"seed {seed}"
+                    assert pair[0]._simplex.pivots == pair[1]._simplex.pivots
+                    if isinstance(results[0], list) and trail:
+                        # a conflict: backtrack like the SAT core would
+                        keep = rng.randrange(len(trail))
+                        for theory in pair:
+                            theory.shrink_to_trail(keep)
+                        del trail[keep:]
+                assert self._check_record(pair[0]) == self._check_record(pair[1])
+        assert retired > 0 and rebuilt > 0
+
+    def test_rebuilt_row_equals_maintained_row(self):
+        """Retire a row, pivot elsewhere, then bound it: the rebuilt row and
+        value are the ones the twin's tableau maintained through the pivot."""
+        pair = [BacktrackableSimplex(), BacktrackableSimplex()]
+        for simplex in pair:
+            s1 = simplex.term_var({"x": 1, "y": 1})
+            s2 = simplex.term_var({"y": 1, "z": 2})
+        retiring, twin = pair
+        retiring.retire_rows({s2, "x", "y", "z"})
+        assert retiring._id[s1] not in retiring._rows
+        for simplex in pair:
+            # s2 >= 10 pivots y into the basis (y = s2 - 2z), rewriting the
+            # twin's row of s1 = x + y
+            assert simplex.assert_bound(s2, False, DeltaRational(10), origin=1) is None
+            assert simplex.feasible() is None
+            assert simplex.assert_bound(s1, True, DeltaRational(20), origin=2) is None
+
+        def row_and_value(simplex):
+            vid = simplex._id[s1]
+            row = {simplex._name[j]: c for j, c in _row_items(simplex._rows[vid])}
+            return row, simplex._vreal[vid], simplex._veps[vid]
+
+        assert retiring.pivots == twin.pivots == 1
+        assert row_and_value(retiring) == row_and_value(twin) == ({"x": 1, s2: 1, "z": -2}, 10, 0)
