@@ -54,11 +54,9 @@ class StrategyOutcome:
     from_scratch_solves: int = 0
     assumption_checks: int = 0
     incremental_hits: int = 0
-    clauses_retained: int = 0
     batched_checks: int = 0
-    theory_propagations: int = 0
-    partial_checks: int = 0
-    core_shrink_rounds: int = 0
+    #: ``smt.clauses_retained`` of the batch's registry (0 for ``naive``).
+    clauses_retained: int = 0
     # function -> (solution as printable strings, sorted error descriptions)
     results: Dict[str, Tuple[Dict[str, str], Tuple[str, ...]]] = field(
         default_factory=dict
@@ -69,11 +67,7 @@ class StrategyOutcome:
         self.from_scratch_solves += result.from_scratch_solves
         self.assumption_checks += result.assumption_checks
         self.incremental_hits += result.incremental_hits
-        self.clauses_retained += result.clauses_retained
         self.batched_checks += result.batched_checks
-        self.theory_propagations += result.theory_propagations
-        self.partial_checks += result.partial_checks
-        self.core_shrink_rounds += result.core_shrink_rounds
         solution = {name: str(expr) for name, expr in sorted(result.solution.items())}
         errors = tuple(sorted(f"{e.kind}:{e.tag}" for e in result.errors))
         self.results[key] = (solution, errors)
@@ -116,43 +110,22 @@ def solve_constraints(
 ) -> StrategyOutcome:
     """Solve every constraint problem in ``batch`` with ``strategy``, each
     under a fresh :class:`SmtContext` so answer caches never leak between
-    strategies or functions."""
+    strategies or functions, and the batch under a fresh
+    :class:`~repro.obs.ObsContext` whose registry the solver counters are
+    read from."""
     outcome = StrategyOutcome(strategy=strategy)
+    obs = ObsContext.create()
     started = time.perf_counter()
     for item in batch:
         solver = FixpointSolver(strategy=strategy)
         for decl in item.kvar_decls.values():
             solver.declare(decl)
-        with use_context(SmtContext()):
+        with use_obs(obs), use_context(SmtContext()):
             result = solver.solve(item.constraint)
         outcome.record(f"{item.program}::{item.function}", result)
     outcome.elapsed = time.perf_counter() - started
+    outcome.clauses_retained = obs.registry.value("smt.clauses_retained")
     return outcome
-
-
-def dplt_metric_sums(functions) -> Dict[str, float]:
-    """Online-DPLL(T) engine counters summed over per-function results.
-
-    Shared by :func:`run_program_metrics` and
-    :meth:`repro.bench.suite.BenchmarkCase.run_flux` so the two reports
-    cannot diverge; ``avg_explanation_len`` is derived here from the two
-    raw sums so every consumer gets the same definition.
-    """
-    explanations = sum(fn.smt_explanations for fn in functions)
-    literals = sum(fn.smt_explanation_literals for fn in functions)
-    return {
-        "batched_checks": sum(fn.smt_batched_checks for fn in functions),
-        "theory_propagations": sum(fn.smt_theory_propagations for fn in functions),
-        "partial_checks": sum(fn.smt_partial_checks for fn in functions),
-        "core_shrink_rounds": sum(fn.smt_core_shrink_rounds for fn in functions),
-        "shrink_budget_hits": sum(fn.smt_shrink_budget_hits for fn in functions),
-        "explanations": explanations,
-        "explanation_literals": literals,
-        "avg_explanation_len": round(literals / explanations, 3) if explanations else 0.0,
-        "phase_saving_hits": sum(fn.smt_phase_saving_hits for fn in functions),
-        "sat_time": sum(fn.smt_sat_time for fn in functions),
-        "theory_time": sum(fn.smt_theory_time for fn in functions),
-    }
 
 
 _TERM_DELTA_KEYS = (
@@ -179,9 +152,7 @@ def side_metric_deltas(before: Dict[str, int]) -> Dict[str, int]:
     The intern table and its memo caches are process-wide (that is the point
     of hash-consing), so per-program metrics report the *growth* during this
     run; ``intern_table_size`` reports the absolute size, which is what a
-    capacity dashboard wants.  Shared by :func:`run_program_metrics` and
-    :meth:`repro.bench.suite.BenchmarkCase.run_flux` so the two reports
-    cannot diverge.
+    capacity dashboard wants.
     """
     now = term_metric_snapshot()
     deltas = {
@@ -202,28 +173,27 @@ def snapshot_value(snapshot: Dict[str, Dict[str, object]], name: str) -> float:
 
 def fixpoint_metric_view(snapshot: Dict[str, Dict[str, object]]) -> Dict[str, object]:
     """The ``BENCH_fixpoint.json`` counter block as a view of one run's
-    registry snapshot.  Every key used to be a hand-rolled sum over
-    per-function results; the registry's ``fixpoint.*`` counters accumulate
-    exactly the same per-solve values, so the numbers are unchanged."""
-    explanations = snapshot_value(snapshot, "fixpoint.explanations")
-    literals = snapshot_value(snapshot, "fixpoint.explanation_literals")
+    registry snapshot.  The fixpoint loop's own counts read ``fixpoint.*``;
+    solver counts read ``smt.*``, so they cover one-shot checks too."""
+    explanations = snapshot_value(snapshot, "smt.explanations")
+    literals = snapshot_value(snapshot, "smt.explanation_literals")
     return {
         "smt_queries": snapshot_value(snapshot, "fixpoint.smt_queries"),
         "from_scratch_solves": snapshot_value(snapshot, "fixpoint.from_scratch_solves"),
         "assumption_checks": snapshot_value(snapshot, "fixpoint.assumption_checks"),
         "incremental_hits": snapshot_value(snapshot, "fixpoint.incremental_hits"),
-        "clauses_retained": snapshot_value(snapshot, "fixpoint.clauses_retained"),
+        "clauses_retained": snapshot_value(snapshot, "smt.clauses_retained"),
         "batched_checks": snapshot_value(snapshot, "fixpoint.batched_checks"),
-        "theory_propagations": snapshot_value(snapshot, "fixpoint.theory_propagations"),
-        "partial_checks": snapshot_value(snapshot, "fixpoint.partial_checks"),
-        "core_shrink_rounds": snapshot_value(snapshot, "fixpoint.core_shrink_rounds"),
-        "shrink_budget_hits": snapshot_value(snapshot, "fixpoint.shrink_budget_hits"),
+        "theory_propagations": snapshot_value(snapshot, "smt.theory_propagations"),
+        "partial_checks": snapshot_value(snapshot, "smt.partial_checks"),
+        "core_shrink_rounds": snapshot_value(snapshot, "smt.core_shrink_rounds"),
+        "shrink_budget_hits": snapshot_value(snapshot, "smt.shrink_budget_hits"),
         "explanations": explanations,
         "explanation_literals": literals,
         "avg_explanation_len": round(literals / explanations, 3) if explanations else 0.0,
-        "phase_saving_hits": snapshot_value(snapshot, "fixpoint.sat_phase_saving_hits"),
-        "sat_time": snapshot_value(snapshot, "fixpoint.sat_seconds"),
-        "theory_time": snapshot_value(snapshot, "fixpoint.theory_seconds"),
+        "phase_saving_hits": snapshot_value(snapshot, "smt.sat_phase_saving_hits"),
+        "sat_time": snapshot_value(snapshot, "smt.sat_seconds"),
+        "theory_time": snapshot_value(snapshot, "smt.theory_seconds"),
     }
 
 

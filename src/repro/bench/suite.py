@@ -24,36 +24,6 @@ class SideMetrics:
     failures: Tuple[str, ...] = ()
     cache_hits: int = 0
     cache_misses: int = 0
-    smt_queries: int = 0
-    from_scratch_solves: int = 0
-    assumption_checks: int = 0
-    incremental_hits: int = 0
-    clauses_retained: int = 0
-    # -- online DPLL(T) engine observability (per run) ----------------------
-    batched_checks: int = 0
-    theory_propagations: int = 0
-    partial_checks: int = 0
-    core_shrink_rounds: int = 0
-    explanations: int = 0
-    explanation_literals: int = 0
-    avg_explanation_len: float = 0.0
-    sat_time: float = 0.0
-    theory_time: float = 0.0
-    # -- SAT-core heuristics observability (per run) ------------------------
-    shrink_budget_hits: int = 0
-    phase_saving_hits: int = 0
-    # -- term-layer / arithmetic fast-path observability (per run) ----------
-    intern_table_size: int = 0
-    intern_hits: int = 0
-    intern_misses: int = 0
-    subst_cache_hits: int = 0
-    subst_cache_misses: int = 0
-    simplify_cache_hits: int = 0
-    simplify_cache_misses: int = 0
-    int_atoms: int = 0
-    fraction_atoms: int = 0
-    int_divisions: int = 0
-    fraction_divisions: int = 0
 
 
 @dataclass
@@ -99,14 +69,8 @@ class BenchmarkCase:
     def run_flux(self, session: Optional["VerifySession"] = None) -> SideMetrics:
         """Run the Flux side; with a ``session``, go through ``repro.service``
         so repeated runs hit the per-function result cache and the metrics
-        report hit/miss counts."""
-        from repro.bench.fixpoint_bench import (
-            dplt_metric_sums,
-            side_metric_deltas,
-            term_metric_snapshot,
-        )
-
-        before = term_metric_snapshot()
+        report hit/miss counts.  Solver counters live in the metrics registry;
+        ``repro.bench.fixpoint_bench.run_program_metrics`` reports them."""
         started = time.perf_counter()
         cache_hits = cache_misses = 0
         if session is not None:
@@ -136,7 +100,6 @@ class BenchmarkCase:
         elapsed = time.perf_counter() - started
         failures = tuple(str(d) for d in result.diagnostics)
         return SideMetrics(
-            **side_metric_deltas(before),
             loc=self._code_lines(self.program.flux_source),
             spec_lines=self._attr_lines(self.program.flux_source, ("#[flux::",)),
             annot_lines=0,  # Flux needs no loop invariants: they are inferred
@@ -145,12 +108,6 @@ class BenchmarkCase:
             failures=failures,
             cache_hits=cache_hits,
             cache_misses=cache_misses,
-            smt_queries=sum(fn.smt_queries for fn in result.functions),
-            from_scratch_solves=sum(fn.smt_from_scratch for fn in result.functions),
-            assumption_checks=sum(fn.smt_assumption_checks for fn in result.functions),
-            incremental_hits=sum(fn.smt_incremental_hits for fn in result.functions),
-            clauses_retained=sum(fn.smt_clauses_retained for fn in result.functions),
-            **dplt_metric_sums(result.functions),
         )
 
     def run_prusti_static(self, note: str) -> SideMetrics:

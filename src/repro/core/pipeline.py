@@ -27,60 +27,17 @@ from repro.core.checker import Checker
 from repro.core.errors import Counterexample, Diagnostic, FluxError
 from repro.core.genv import GlobalEnv
 from repro.diagnostics.counterexample import counterexample_from_model
-from repro.obs import span as obs_span
+from repro.obs import current_obs, span as obs_span
 from repro.smt import SmtContext, use_context
-
-#: Solver-metric keys every :class:`FunctionResult` carries, in report order.
-#: The dict replaces what used to be individual ``smt_*`` dataclass fields; the keys
-#: keep the old field names so cached payloads and JSON reports are stable,
-#: and matching read-only attribute aliases are installed below.
-FUNCTION_METRIC_KEYS = (
-    "smt_queries",
-    "smt_from_scratch",
-    "smt_assumption_checks",
-    "smt_incremental_hits",
-    "smt_clauses_retained",
-    "smt_batched_checks",
-    "smt_theory_propagations",
-    "smt_partial_checks",
-    "smt_core_shrink_rounds",
-    "smt_shrink_budget_hits",
-    "smt_explanations",
-    "smt_explanation_literals",
-    "smt_phase_saving_hits",
-    "smt_sat_time",
-    "smt_theory_time",
-)
-
-
-def metrics_from_fixpoint(fixpoint_result) -> Dict[str, float]:
-    """The per-function metrics view of one fixpoint run."""
-    return {
-        "smt_queries": fixpoint_result.smt_queries,
-        "smt_from_scratch": fixpoint_result.from_scratch_solves,
-        "smt_assumption_checks": fixpoint_result.assumption_checks,
-        "smt_incremental_hits": fixpoint_result.incremental_hits,
-        "smt_clauses_retained": fixpoint_result.clauses_retained,
-        "smt_batched_checks": fixpoint_result.batched_checks,
-        "smt_theory_propagations": fixpoint_result.theory_propagations,
-        "smt_partial_checks": fixpoint_result.partial_checks,
-        "smt_core_shrink_rounds": fixpoint_result.core_shrink_rounds,
-        "smt_shrink_budget_hits": fixpoint_result.shrink_budget_hits,
-        "smt_explanations": fixpoint_result.explanations,
-        "smt_explanation_literals": fixpoint_result.explanation_literals,
-        "smt_phase_saving_hits": fixpoint_result.sat_phase_saving_hits,
-        "smt_sat_time": fixpoint_result.sat_time,
-        "smt_theory_time": fixpoint_result.theory_time,
-    }
 
 
 @dataclass
 class FunctionResult:
     """Verification outcome for a single function.
 
-    Solver activity lives in ``metrics`` (keys :data:`FUNCTION_METRIC_KEYS`,
-    absent means zero); ``result.smt_queries`` and friends remain readable
-    through the attribute aliases installed after the class definition.
+    ``metrics`` maps every metrics-registry counter the function's
+    verification moved to the amount it moved (``smt.*``, ``fixpoint.*``,
+    ...; absent means zero).
     """
 
     name: str
@@ -112,15 +69,6 @@ def is_fault_result(result: "FunctionResult") -> bool:
     """Whether ``result`` reports an execution fault rather than a verdict."""
 
     return any(diag.tag in FAULT_TAGS for diag in result.diagnostics)
-
-
-def _metric_alias(key: str) -> property:
-    return property(lambda self: self.metrics.get(key, 0))
-
-
-for _key in FUNCTION_METRIC_KEYS:
-    setattr(FunctionResult, _key, _metric_alias(_key))
-del _key
 
 
 @dataclass
@@ -255,15 +203,25 @@ def _verify_function(
 ) -> FunctionResult:
     """Verify one function, optionally under an explicit SMT context.
 
-    Module-level (and with picklable arguments) so the service scheduler can
-    ship it to worker processes.
+    The result's ``metrics`` are the non-zero counter deltas of the ambient
+    metrics registry across this call.  Module-level (and with picklable
+    arguments) so the service scheduler can ship it to worker processes.
     """
+    registry = current_obs().registry
+    before = registry.counter_values()
     if session is None:
         # Run under whatever context is already active (default or one a
         # caller installed with ``use_context``).
-        return _verify_function_in_context(fn, genv, rust_context)
-    with use_context(session):
-        return _verify_function_in_context(fn, genv, rust_context)
+        result = _verify_function_in_context(fn, genv, rust_context)
+    else:
+        with use_context(session):
+            result = _verify_function_in_context(fn, genv, rust_context)
+    result.metrics = {
+        name: value - before.get(name, 0)
+        for name, value in sorted(registry.counter_values().items())
+        if value != before.get(name, 0)
+    }
+    return result
 
 
 def _verify_function_in_context(
@@ -308,7 +266,6 @@ def _verify_function_in_context(
             diagnostics=diagnostics,
             num_constraints=len(output.constraints),
             num_kvars=output.num_kvars,
-            metrics=metrics_from_fixpoint(fixpoint_result),
             time=time.perf_counter() - started,
         )
     except FluxError as error:

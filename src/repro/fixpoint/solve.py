@@ -72,7 +72,6 @@ from repro.smt import (
     IncrementalSolver,
     SatResult,
     SmtError,
-    current_context,
     is_valid,
     validity_answer,
 )
@@ -176,40 +175,22 @@ class FixpointError:
 
 @dataclass
 class _RunStats:
-    """Counters threaded through one ``solve`` call."""
+    """Counters threaded through one ``solve`` call.
+
+    Only what the fixpoint loop itself decides is counted here; each SMT
+    check reports its own statistics to the metrics registry (see
+    :mod:`repro.smt.metrics_bridge`).
+    """
 
     iterations: int = 0
     queries: int = 0
     from_scratch: int = 0
     assumption_checks: int = 0
     contexts_built: int = 0
-    clauses_retained: int = 0
     batched_checks: int = 0
-    theory_propagations: int = 0
-    partial_checks: int = 0
-    core_shrink_rounds: int = 0
-    shrink_budget_hits: int = 0
-    explanations: int = 0
-    explanation_literals: int = 0
-    sat_phase_saving_hits: int = 0
-    sat_time: float = 0.0
-    theory_time: float = 0.0
     # UNKNOWN solver answers observed during weakening, surfaced as
     # structured errors instead of being silently folded into "not valid"
     unknown_errors: List[FixpointError] = field(default_factory=list)
-
-    def absorb_context(self, solver: IncrementalSolver) -> None:
-        """Fold a retiring per-clause solver's lifetime counters in."""
-        self.clauses_retained += solver.clauses_retained
-        self.theory_propagations += solver.theory_propagations
-        self.partial_checks += solver.partial_checks
-        self.core_shrink_rounds += solver.core_shrink_rounds
-        self.shrink_budget_hits += solver.shrink_budget_hits
-        self.explanations += solver.explanations
-        self.explanation_literals += solver.explanation_literals
-        self.sat_phase_saving_hits += solver.sat_phase_saving_hits
-        self.sat_time += solver.sat_time
-        self.theory_time += solver.theory_time
 
     def record_unknown(self, clause: FlatConstraint, reason: str) -> None:
         for existing in self.unknown_errors:
@@ -230,29 +211,12 @@ class FixpointResult:
     from_scratch_solves: int = 0
     assumption_checks: int = 0
     incremental_hits: int = 0
-    clauses_retained: int = 0
     budget_exhausted: bool = False
     batched_checks: int = 0
-    theory_propagations: int = 0
-    partial_checks: int = 0
-    core_shrink_rounds: int = 0
-    shrink_budget_hits: int = 0
-    explanations: int = 0
-    explanation_literals: int = 0
-    sat_phase_saving_hits: int = 0
-    sat_time: float = 0.0
-    theory_time: float = 0.0
 
     @property
     def ok(self) -> bool:
         return not self.errors
-
-    @property
-    def avg_explanation_len(self) -> float:
-        """Mean literal count of theory-conflict explanations this run."""
-        if not self.explanations:
-            return 0.0
-        return self.explanation_literals / self.explanations
 
 
 #: ``FixpointResult`` counter fields mirrored into ``fixpoint.<field>``
@@ -266,14 +230,6 @@ _RESULT_COUNTER_FIELDS = (
     ("assumption_checks", "qualifier checks on a persistent incremental solver"),
     ("incremental_hits", "assumption checks that reused an existing solver"),
     ("batched_checks", "refute-any batches covering several qualifiers at once"),
-    ("clauses_retained", "learned clauses surviving pop() in per-clause solvers"),
-    ("theory_propagations", "theory propagations inside per-clause solvers"),
-    ("partial_checks", "partial feasibility checks inside per-clause solvers"),
-    ("core_shrink_rounds", "core-shrink rounds inside per-clause solvers"),
-    ("shrink_budget_hits", "core-shrink rounds truncated by the per-check budget"),
-    ("explanations", "conflict explanations inside per-clause solvers"),
-    ("explanation_literals", "explanation literals inside per-clause solvers"),
-    ("sat_phase_saving_hits", "decisions that reused a saved phase"),
 )
 
 
@@ -296,18 +252,6 @@ def _emit_fixpoint_metrics(result: "FixpointResult", strategy: str) -> None:
         help="wall-clock time inside FixpointSolver.solve",
         unit="seconds",
     ).inc(result.elapsed)
-    if result.sat_time:
-        registry.counter(
-            "fixpoint.sat_seconds",
-            help="SAT-core time inside per-clause incremental solvers",
-            unit="seconds",
-        ).inc(result.sat_time)
-    if result.theory_time:
-        registry.counter(
-            "fixpoint.theory_seconds",
-            help="theory-solver time inside per-clause incremental solvers",
-            unit="seconds",
-        ).inc(result.theory_time)
 
 
 def apply_solution(expr: Expr, solution: Solution, decls: Dict[str, KVarDecl]) -> Expr:
@@ -578,18 +522,8 @@ class FixpointSolver:
             from_scratch_solves=stats.from_scratch,
             assumption_checks=stats.assumption_checks,
             incremental_hits=max(0, stats.assumption_checks - stats.contexts_built),
-            clauses_retained=stats.clauses_retained,
             budget_exhausted=bool(budget_errors),
             batched_checks=stats.batched_checks,
-            theory_propagations=stats.theory_propagations,
-            partial_checks=stats.partial_checks,
-            core_shrink_rounds=stats.core_shrink_rounds,
-            shrink_budget_hits=stats.shrink_budget_hits,
-            explanations=stats.explanations,
-            explanation_literals=stats.explanation_literals,
-            sat_phase_saving_hits=stats.sat_phase_saving_hits,
-            sat_time=stats.sat_time,
-            theory_time=stats.theory_time,
         )
         _emit_fixpoint_metrics(result, strategy)
         return result
@@ -650,9 +584,6 @@ class FixpointSolver:
                     if dependent not in queued:
                         queued.add(dependent)
                         queue.append(dependent)
-        for context in contexts:
-            if isinstance(context, IncrementalSolver):
-                stats.absorb_context(context)
         return budget_errors
 
     def _weaken_naive(
@@ -772,13 +703,9 @@ class FixpointSolver:
                 # The solver must not be reused either way: the failed
                 # encoding may have memoised rewrites whose side conditions
                 # it never asserted (see ``IncrementalSolver.literal_for``).
-                # Counters roll back so the aborted attempt's checks are not
-                # double-counted on top of the full one-shot re-run below;
-                # clauses the discarded solver retained over its lifetime
-                # stay counted since the final summation no longer sees it.
-                demoted = contexts[index]
-                if isinstance(demoted, IncrementalSolver):
-                    stats.absorb_context(demoted)
+                # The loop's own counters roll back so the aborted attempt's
+                # checks are not double-counted on top of the full one-shot
+                # re-run below; their ``smt.*`` counts stay, as they ran.
                 contexts[index] = _ONESHOT
                 (
                     stats.queries,
@@ -837,13 +764,10 @@ class FixpointSolver:
             stats.from_scratch += 1
         else:
             solver.declare_sorts(sorts)
-        # Session-level SMT statistics are committed only once the whole
-        # visit succeeds: if a goal aborts the visit with an SmtError, the
-        # one-shot re-run does its own recording and an eager commit here
-        # would double-count the aborted checks.  Quantified goals (which
-        # need the skolemising one-shot interface, whose recording cannot be
-        # deferred) run after the abort-prone incremental block for the same
-        # reason.
+        # Quantified goals need the skolemising one-shot interface.  They run
+        # after the incremental block, which can abort the visit with an
+        # SmtError: run before it, their one-shot checks would be counted
+        # twice, once here and once in the caller's full one-shot re-run.
         survived: Dict[int, bool] = {}
         quantified: List[int] = []
         pending: List[int] = []
@@ -852,13 +776,6 @@ class FixpointSolver:
                 quantified.append(position)
             else:
                 pending.append(position)
-        incremental_records: List[Tuple[object, float]] = []
-
-        def checked(goal: Expr):
-            started = time.perf_counter()
-            answer = solver.check_valid_detailed(goal)
-            incremental_records.append((answer, time.perf_counter() - started))
-            return answer
 
         def check_individually(
             positions: List[int],
@@ -867,7 +784,7 @@ class FixpointSolver:
             for position in positions:
                 stats.queries += 1
                 stats.assumption_checks += 1
-                answer = checked(goals[position][1])
+                answer = solver.check_valid_detailed(goals[position][1])
                 survived[position] = answer.is_unsat
                 if answer.result is SatResult.UNKNOWN:
                     # Name the candidate, not just the clause tag: a
@@ -909,9 +826,7 @@ class FixpointSolver:
                 stats.queries += 1
                 stats.assumption_checks += 1
                 stats.batched_checks += 1
-                started = time.perf_counter()
                 answer = solver.refute_any([goals[p][1] for p in pending])
-                incremental_records.append((answer, time.perf_counter() - started))
                 if answer.is_unsat:
                     for position in pending:
                         survived[position] = True
@@ -956,11 +871,6 @@ class FixpointSolver:
                 pending = [p for p in pending if p not in dropped]
         finally:
             solver.pop()
-        if incremental_records:
-            record = current_context().stats
-            for answer, elapsed in incremental_records:
-                record.record(answer, elapsed)
-            record.bump("incremental_checks", len(incremental_records))
         for position in quantified:
             qualifier, goal = goals[position]
             stats.queries += 1

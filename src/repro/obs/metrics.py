@@ -144,12 +144,12 @@ class MetricsRegistry:
     an existing name at a different kind (or different histogram buckets) is
     a :class:`MetricError` — silent coercion would corrupt merged totals.
 
-    Registration, :meth:`snapshot`, :meth:`merge` and :meth:`clear` hold an
-    internal lock, so one thread may scrape a registry (the daemon's
-    ``/metrics`` handler) while another registers metrics into it.  Metric
-    *mutation* (``inc``/``set``/``observe``) is deliberately lock-free: the
-    owning contract is one mutating thread per registry at a time (workers
-    are never shared between concurrent jobs — see
+    Registration, :meth:`snapshot`, :meth:`counter_values`, :meth:`merge`
+    and :meth:`clear` hold an internal lock, so one thread may scrape a
+    registry (the daemon's ``/metrics`` handler) while another registers
+    metrics into it.  Metric *mutation* (``inc``/``set``/``observe``) is
+    deliberately lock-free: the owning contract is one mutating thread per
+    registry at a time (workers are never shared between concurrent jobs — see
     :class:`repro.daemon.workers.WorkerPool`); concurrent *readers* at
     worst observe a value one update stale.
     """
@@ -215,6 +215,17 @@ class MetricsRegistry:
         if isinstance(metric, Histogram):
             return metric.count
         return metric.value
+
+    def counter_values(self) -> Dict[str, Number]:
+        """``name -> value`` of every counter: the cheap read behind
+        per-function metric deltas (:meth:`snapshot` copies every field of
+        every metric)."""
+        with self._lock:
+            return {
+                name: metric.value
+                for name, metric in self._metrics.items()
+                if isinstance(metric, Counter)
+            }
 
     def clear(self) -> None:
         with self._lock:

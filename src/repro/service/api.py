@@ -16,7 +16,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.core.errors import FluxError
 from repro.core.genv import GlobalEnv
 from repro.core.pipeline import (
-    FUNCTION_METRIC_KEYS,
     FunctionResult,
     VerificationResult,
     is_fault_result,
@@ -55,10 +54,9 @@ class FunctionReport:
     time: float
     num_constraints: int
     num_kvars: int
-    #: Per-function solver metrics, keyed by :data:`FUNCTION_METRIC_KEYS` —
-    #: a thin view over the registry delta the function's verification
-    #: produced.  ``report.smt_queries`` etc. remain readable through the
-    #: attribute aliases installed after the class definition.
+    #: The registry counter delta of the function's verification
+    #: (:attr:`repro.core.FunctionResult.metrics`), replayed from the cache
+    #: for cached results.
     metrics: Dict[str, float] = field(default_factory=dict)
     diagnostics: List[str] = field(default_factory=list)
     #: Structured failure records (tag, span, sig_span, counterexample) —
@@ -67,33 +65,20 @@ class FunctionReport:
     failures: List[Dict[str, object]] = field(default_factory=list)
 
     def to_dict(self) -> Dict[str, object]:
-        payload: Dict[str, object] = {
+        return {
             "name": self.name,
             "status": self.status,
             "cached": self.cached,
             "time": round(self.time, 6),
+            "metrics": {
+                name: round(value, 6) if isinstance(value, float) else value
+                for name, value in self.metrics.items()
+            },
+            "num_constraints": self.num_constraints,
+            "num_kvars": self.num_kvars,
+            "diagnostics": list(self.diagnostics),
+            "failures": [dict(failure) for failure in self.failures],
         }
-        for key in FUNCTION_METRIC_KEYS:
-            value = self.metrics.get(key, 0)
-            payload[key] = round(value, 6) if isinstance(value, float) else value
-        payload.update(
-            {
-                "num_constraints": self.num_constraints,
-                "num_kvars": self.num_kvars,
-                "diagnostics": list(self.diagnostics),
-                "failures": [dict(failure) for failure in self.failures],
-            }
-        )
-        return payload
-
-
-def _report_metric_alias(key: str) -> property:
-    return property(lambda self: self.metrics.get(key, 0))
-
-
-for _key in FUNCTION_METRIC_KEYS:
-    setattr(FunctionReport, _key, _report_metric_alias(_key))
-del _key
 
 
 @dataclass
@@ -135,7 +120,8 @@ class ServiceReport:
     ``metrics`` carries the session's full registry snapshot (all merged
     worker deltas included) — the raw material of ``--stats`` and
     ``--metrics-out``.  It is not part of ``to_dict`` to keep the report
-    JSON stable; exporters read it directly.
+    JSON stable; exporters read it directly.  ``smt`` is a view of it
+    (:func:`_smt_summary`).
     """
 
     jobs: List[JobReport] = field(default_factory=list)
@@ -249,9 +235,7 @@ def _verify_job_active(job: VerifyJob, session: VerifySession) -> JobReport:
         fn_deadline=session.fn_deadline,
         memory_limit_mb=session.memory_limit_mb,
     )
-    for name, (result, worker_stats, obs_payload) in fresh.items():
-        if worker_stats is not None:
-            session.smt.stats.merge(worker_stats)
+    for name, (result, obs_payload) in fresh.items():
         if obs_payload is not None:
             # Fold the worker's observability delta into the session:
             # counters add, spans and events keep their worker pid/tid, so
@@ -302,9 +286,32 @@ def verify_jobs(
     for job in jobs:
         report.jobs.append(verify_job(job, session))
     report.time = time.perf_counter() - started
-    report.smt = session.stats.to_dict()
     report.metrics = session.metrics_snapshot()
+    report.smt = _smt_summary(report.metrics)
     return report
+
+
+def _smt_summary(snapshot: Dict[str, Dict[str, object]]) -> Dict[str, float]:
+    """The report's ``"smt"`` block, read off a registry snapshot.
+
+    ``total_time`` is the ``smt.query_seconds`` sum: each check's search
+    (one-shot checks include their encoding; the incremental backend's goal
+    encoding happens before the check and is not counted).
+    """
+
+    def value(name: str) -> float:
+        return snapshot.get(name, {}).get("value", 0)
+
+    incremental = value("smt.queries.incremental")
+    return {
+        "queries": value("smt.queries.oneshot") + incremental,
+        "valid": value("smt.result.unsat"),
+        "invalid": value("smt.result.sat"),
+        "unknown": value("smt.result.unknown"),
+        "quantifier_instantiations": value("smt.quantifier_instantiations"),
+        "total_time": snapshot.get("smt.query_seconds", {}).get("sum", 0.0),
+        "incremental_checks": incremental,
+    }
 
 
 def verify_source(

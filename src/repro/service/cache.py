@@ -55,7 +55,9 @@ from repro.obs import current_obs
 #    (new SAT-core counters, different conflict/decision accounting).
 # 7: restart, clause-deletion and learned-clause counters removed from
 #    ``metrics``.
-SCHEMA_VERSION = 7
+# 8: ``metrics`` is the function's registry counter delta, keyed by metric
+#    name (``smt.*``, ``fixpoint.*``) instead of the ``smt_*`` fields.
+SCHEMA_VERSION = 8
 
 _IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 
@@ -175,6 +177,10 @@ def result_from_dict(payload: Dict[str, object]) -> FunctionResult:
     metrics = payload.get("metrics", {})
     if not isinstance(metrics, dict):
         raise TypeError("metrics payload must be a mapping")
+    for value in metrics.values():
+        # bool is an int subclass, but no counter holds one.
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise TypeError(f"metric value {value!r} is not a number")
     return FunctionResult(
         name=str(payload["name"]),
         ok=bool(payload["ok"]),

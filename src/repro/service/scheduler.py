@@ -40,7 +40,7 @@ from repro.fixpoint.solve import DEADLINE_EXCEEDED, RESOURCE_EXHAUSTED, WORKER_C
 from repro.lang import ast
 from repro.mir.typeinfer import ProgramTypes
 from repro.obs import MetricsRegistry, ObsContext, current_obs, use_obs
-from repro.smt import SmtContext, SmtStats
+from repro.smt import SmtContext
 
 #: A worker's observability delta for one function: the registry snapshot
 #: plus any trace spans / structured events recorded while verifying it.
@@ -91,15 +91,13 @@ def _init_worker(
 
 def _worker_verify(
     name: str, deadline: Optional[float] = None, attempt: int = 1
-) -> Tuple[str, FunctionResult, SmtStats, ObsPayload]:
+) -> Tuple[str, FunctionResult, ObsPayload]:
     assert _WORKER_GENV is not None and _WORKER_RUST is not None and _WORKER_SMT is not None
     assert _WORKER_OBS is not None
     # Keep the worker's answer cache warm across functions, but give every
-    # function a fresh stats record so the session can merge exact deltas.
-    _WORKER_SMT.stats = SmtStats()
-    # Same for the metrics registry: a fresh one per function makes the
-    # returned snapshot an exact per-function delta the session can merge,
-    # wherever the pool happened to schedule the function.
+    # function a fresh metrics registry: the returned snapshot is then an
+    # exact per-function delta the session can merge, wherever the pool
+    # happened to schedule the function.
     registry = MetricsRegistry()
     _WORKER_OBS.registry = registry
     if _WORKER_OBS.tracer.enabled:
@@ -132,7 +130,7 @@ def _worker_verify(
         "trace": _WORKER_OBS.tracer.drain(),
         "events": _WORKER_OBS.events.drain(),
     }
-    return name, result, _WORKER_SMT.stats, payload
+    return name, result, payload
 
 
 def topological_order(
@@ -204,7 +202,7 @@ def _run_pool_round(
     events: bool,
     deadline: Optional[float],
     memory_limit_mb: Optional[int],
-    results: Dict[str, Tuple[FunctionResult, Optional[SmtStats], Optional[ObsPayload]]],
+    results: Dict[str, Tuple[FunctionResult, Optional[ObsPayload]]],
 ) -> Tuple[List[str], List[str], Optional[BaseException]]:
     """One pool lifetime: verify as many of ``names`` as possible.
 
@@ -243,8 +241,8 @@ def _run_pool_round(
                 name = pending.pop(future)
                 error = future.exception()
                 if error is None:
-                    finished, result, stats, obs_payload = future.result()
-                    results[finished] = (result, stats, obs_payload)
+                    finished, result, obs_payload = future.result()
+                    results[finished] = (result, obs_payload)
                 elif isinstance(error, BrokenProcessPool):
                     # Every unfinished future fails identically once the
                     # pool breaks; keep them in ``pending`` so they count
@@ -286,7 +284,7 @@ def _run_parallel(
     events: bool,
     deadline: Optional[float],
     memory_limit_mb: Optional[int],
-    results: Dict[str, Tuple[FunctionResult, Optional[SmtStats], Optional[ObsPayload]]],
+    results: Dict[str, Tuple[FunctionResult, Optional[ObsPayload]]],
 ) -> List[str]:
     """Crash-contained parallel execution.
 
@@ -346,7 +344,6 @@ def _run_parallel(
                         WORKER_CRASHED,
                         f"worker process died while verifying (x{breaker.max_crashes}); quarantined",
                     ),
-                    None,
                     None,
                 )
         remaining = [name for name in remaining if name not in results]
@@ -426,12 +423,12 @@ def verify_functions(
     events: bool = False,
     fn_deadline: Optional[float] = None,
     memory_limit_mb: Optional[int] = None,
-) -> Dict[str, Tuple[FunctionResult, Optional[SmtStats], Optional[ObsPayload]]]:
-    """Verify ``names``; per-function results plus worker stats/obs deltas.
+) -> Dict[str, Tuple[FunctionResult, Optional[ObsPayload]]]:
+    """Verify ``names``; per-function results plus worker obs deltas.
 
-    Serial runs record straight into ``smt_context`` and the ambient
-    observability context (stats and obs entries are ``None``); parallel
-    runs return each worker's deltas for the caller to merge.  ``trace`` and
+    Serial runs record straight into the ambient observability context (obs
+    entries are ``None``); parallel runs return each worker's deltas for
+    the caller to merge.  ``trace`` and
     ``events`` forward the session's tracer/event-log switches to workers.
     ``fns`` may carry a precomputed ``definition_map(program)``.
 
@@ -444,7 +441,7 @@ def verify_functions(
     if fns is None:
         fns = definition_map(program)
     ordered = topological_order(names, genv, fns, deps=deps)
-    results: Dict[str, Tuple[FunctionResult, Optional[SmtStats], Optional[ObsPayload]]] = {}
+    results: Dict[str, Tuple[FunctionResult, Optional[ObsPayload]]] = {}
 
     if jobs > 1 and len(ordered) > 1:
         remaining = _run_parallel(
@@ -457,5 +454,5 @@ def verify_functions(
         result = _verify_serial(
             name, fns, genv, rust_context, smt_context, fn_deadline
         )
-        results[name] = (result, None, None)
+        results[name] = (result, None)
     return results

@@ -1,9 +1,9 @@
 """Per-run verification state.
 
 A :class:`VerifySession` owns everything that used to live in module-level
-globals: the SMT statistics and answer cache (an
-:class:`repro.smt.SmtContext`), the per-function result cache, and the
-observability context (metrics registry, span tracer, solver event log).
+globals: the SMT answer cache (an :class:`repro.smt.SmtContext`), the
+per-function result cache, and the observability context (metrics
+registry, span tracer, solver event log).
 Two sessions never share mutable state, which is what makes it safe to run
 several verifications concurrently in one process — and what lets worker
 processes each build their own context without trampling a shared one.
@@ -15,7 +15,7 @@ from contextlib import ExitStack, contextmanager
 from typing import Iterator, Optional
 
 from repro.obs import MetricsRegistry, ObsContext, use_obs
-from repro.smt import SmtContext, SmtStats, use_context
+from repro.smt import SmtContext, use_context
 
 from repro.service.cache import ResultCache
 
@@ -68,15 +68,6 @@ class VerifySession:
         self.jobs = max(1, int(jobs))
         self.fn_deadline = fn_deadline if fn_deadline and fn_deadline > 0 else None
         self.memory_limit_mb = memory_limit_mb if memory_limit_mb and memory_limit_mb > 0 else None
-
-    # -- SMT state ---------------------------------------------------------------
-
-    @property
-    def stats(self) -> SmtStats:
-        return self.smt.stats
-
-    def reset_stats(self) -> None:
-        self.smt.stats = SmtStats()
 
     # -- observability -----------------------------------------------------------
 

@@ -20,14 +20,11 @@ handled by bounded instantiation in :mod:`repro.smt.quant`.
 from repro.smt.interface import (
     AnswerCache,
     SmtContext,
-    SmtStats,
     check_sat,
     current_context,
     falsifying_model,
     is_satisfiable,
     is_valid,
-    reset_stats,
-    get_stats,
     set_context,
     use_context,
     validity_answer,
@@ -42,14 +39,11 @@ __all__ = [
     "IncrementalSolver",
     "SmtContext",
     "SmtError",
-    "SmtStats",
     "check_sat",
     "current_context",
     "falsifying_model",
     "is_satisfiable",
     "is_valid",
-    "reset_stats",
-    "get_stats",
     "set_context",
     "use_context",
     "SatResult",

@@ -113,21 +113,6 @@ class IncrementalSolver:
         # from its memo entry, so a memo hit still reports them.
         self._global_atoms: Set[int] = set()
         self._frame_atoms: List[Set[int]] = []
-        # -- statistics ------------------------------------------------------
-        self.checks = 0
-        self.assumption_checks = 0
-        self.clauses_retained = 0
-        self.theory_rounds = 0
-        self.total_time = 0.0
-        self.theory_propagations = 0
-        self.partial_checks = 0
-        self.core_shrink_rounds = 0
-        self.shrink_budget_hits = 0
-        self.explanations = 0
-        self.explanation_literals = 0
-        self.sat_phase_saving_hits = 0
-        self.sat_time = 0.0
-        self.theory_time = 0.0
 
     # -- assertion stack -----------------------------------------------------
 
@@ -248,7 +233,6 @@ class IncrementalSolver:
         permanently asserted.  ``relevant_atoms`` names theory atoms the
         assumed literals' encodings reference (callers assuming a cached
         root literal pass the atoms recorded for that expression)."""
-        self.assumption_checks += 1
         return self._check(list(assumptions), frozenset(relevant_atoms))
 
     def check_valid_detailed(self, goal: Expr) -> SolverAnswer:
@@ -311,7 +295,6 @@ class IncrementalSolver:
 
     def _check(self, assumptions: List[int], relevant_atoms: frozenset) -> SolverAnswer:
         started = time.perf_counter()
-        self.checks += 1
         clauses_before = self._sat.num_clauses
         int_vars = {name for name, sort in self.sorts.items() if sort in (INT, BOOL)}
         # Atoms of formulas in force right now.  Atoms encoded for retired
@@ -319,51 +302,17 @@ class IncrementalSolver:
         # they constrain nothing active, so feeding them to the simplex would
         # only blow up every theory call (and every conflict explanation).
         active_atoms = self._global_atoms.union(relevant_atoms, *self._frame_atoms)
-        try:
-            answer = run_theory_loop(
-                self._sat,
-                self._atomizer,
-                int_vars,
-                self.max_theory_rounds,
-                assumptions=list(self._frames) + assumptions,
-                active_atoms=active_atoms,
-                theory=self._theory,
-                engine=self.engine,
-            )
-        finally:
-            elapsed = time.perf_counter() - started
-            self.clauses_retained += self._sat.num_clauses - clauses_before
-            self.total_time += elapsed
-        stats = answer.stats
-        self.theory_rounds += stats.theory_rounds
-        self.theory_propagations += stats.theory_propagations
-        self.partial_checks += stats.partial_checks
-        self.core_shrink_rounds += stats.core_shrink_rounds
-        self.shrink_budget_hits += stats.shrink_budget_hits
-        self.explanations += stats.explanations
-        self.explanation_literals += stats.explanation_literals
-        self.sat_phase_saving_hits += stats.sat_phase_saving_hits
-        self.sat_time += stats.sat_time
-        self.theory_time += stats.theory_time
+        answer = run_theory_loop(
+            self._sat,
+            self._atomizer,
+            int_vars,
+            self.max_theory_rounds,
+            assumptions=list(self._frames) + assumptions,
+            active_atoms=active_atoms,
+            theory=self._theory,
+            engine=self.engine,
+        )
+        elapsed = time.perf_counter() - started
+        answer.stats.clauses_retained = self._sat.num_clauses - clauses_before
         record_check_metrics(answer, elapsed, source="incremental")
         return answer
-
-    # -- introspection ---------------------------------------------------------
-
-    def stats_dict(self) -> Dict[str, float]:
-        return {
-            "checks": self.checks,
-            "assumption_checks": self.assumption_checks,
-            "clauses_retained": self.clauses_retained,
-            "theory_rounds": self.theory_rounds,
-            "total_time": self.total_time,
-            "theory_propagations": self.theory_propagations,
-            "partial_checks": self.partial_checks,
-            "core_shrink_rounds": self.core_shrink_rounds,
-            "shrink_budget_hits": self.shrink_budget_hits,
-            "explanations": self.explanations,
-            "explanation_literals": self.explanation_literals,
-            "sat_phase_saving_hits": self.sat_phase_saving_hits,
-            "sat_time": self.sat_time,
-            "theory_time": self.theory_time,
-        }

@@ -38,58 +38,8 @@ from repro.logic.subst import substitute
 from repro.obs import current_obs, span as obs_span
 from repro.smt.metrics_bridge import record_check_metrics
 from repro.smt.quant import has_quantifier, instantiate
-from repro.smt.result import SatResult, SolverAnswer
+from repro.smt.result import SolverAnswer
 from repro.smt.solver import solve_formula
-
-
-@dataclass
-class SmtStats:
-    """Cumulative statistics for a verification run."""
-
-    queries: int = 0
-    valid: int = 0
-    invalid: int = 0
-    unknown: int = 0
-    quantifier_instantiations: int = 0
-    total_time: float = 0.0
-    details: Dict[str, int] = field(default_factory=dict)
-
-    def record(self, answer: SolverAnswer, elapsed: float) -> None:
-        self.queries += 1
-        self.total_time += elapsed
-        if answer.result is SatResult.UNSAT:
-            self.valid += 1
-        elif answer.result is SatResult.SAT:
-            self.invalid += 1
-        else:
-            self.unknown += 1
-
-    def merge(self, other: "SmtStats") -> None:
-        """Fold another run's counters into this one (scheduler workers)."""
-        self.queries += other.queries
-        self.valid += other.valid
-        self.invalid += other.invalid
-        self.unknown += other.unknown
-        self.quantifier_instantiations += other.quantifier_instantiations
-        self.total_time += other.total_time
-        for key, value in other.details.items():
-            self.details[key] = self.details.get(key, 0) + value
-
-    def bump(self, detail: str, count: int = 1) -> None:
-        """Increment a named side-counter (e.g. incremental-solver activity)."""
-        self.details[detail] = self.details.get(detail, 0) + count
-
-    def to_dict(self) -> Dict[str, float]:
-        payload: Dict[str, float] = {
-            "queries": self.queries,
-            "valid": self.valid,
-            "invalid": self.invalid,
-            "unknown": self.unknown,
-            "quantifier_instantiations": self.quantifier_instantiations,
-            "total_time": self.total_time,
-        }
-        payload.update(self.details)
-        return payload
 
 
 _ANSWER_CACHE_LIMIT = 50000
@@ -136,14 +86,14 @@ class AnswerCache:
 
 @dataclass
 class SmtContext:
-    """Per-run solver state: statistics plus the answer cache.
+    """Per-run solver state: the answer cache.
 
     ``repro.service.VerifySession`` owns one of these per run; the module
-    keeps a default context so the legacy ``get_stats``/``reset_stats`` API
-    and bare ``verify_source`` calls keep working unchanged.
+    keeps a default context so bare ``verify_source`` calls keep working.
+    Solver statistics live in the ambient metrics registry
+    (:func:`repro.obs.current_obs`), not here.
     """
 
-    stats: SmtStats = field(default_factory=SmtStats)
     cache: AnswerCache = field(default_factory=AnswerCache)
 
 
@@ -176,34 +126,25 @@ def use_context(context: Optional[SmtContext]) -> Iterator[SmtContext]:
         set_context(previous)
 
 
-def reset_stats() -> None:
-    _CONTEXT_VAR.get().stats = SmtStats()
-
-
-def get_stats() -> SmtStats:
-    return _CONTEXT_VAR.get().stats
-
-
 def check_sat(expr: Expr, sorts: Optional[Dict[str, Sort]] = None) -> SolverAnswer:
     """Satisfiability of a quantifier-free formula, memoised per context.
 
     Every call — cache hit or miss — emits its answer's typed per-check
     statistics into the observability registry.  Hits replay the cached
-    answer's record (the counts a fresh deterministic solve would produce),
-    so merged counter totals stay independent of cache-hit patterns.
+    answer's record (the counts a fresh deterministic solve would produce)
+    but add no time, so merged counter totals stay independent of cache-hit
+    patterns.
     """
     context = _CONTEXT_VAR.get()
     key = (expr, tuple(sorted((sorts or {}).items(), key=lambda kv: kv[0])))
     cached = context.cache.get(key)
     if cached is not None:
-        context.stats.record(cached, 0.0)
-        record_check_metrics(cached, 0.0, source="oneshot")
+        record_check_metrics(cached, None, source="oneshot")
         return cached
     started = time.perf_counter()
     with obs_span("smt.query"):
         answer = solve_formula(expr, sorts)
     elapsed = time.perf_counter() - started
-    context.stats.record(answer, elapsed)
     record_check_metrics(answer, elapsed, source="oneshot")
     context.cache.put(key, answer)
     return answer
@@ -262,7 +203,6 @@ def _refutation_query(
         # terms from the goal serve as instantiation candidates.
         query = instantiate(query, rounds=quantifier_rounds, stats=instantiation_stats)
     instantiations = instantiation_stats.get("instantiations", 0)
-    _CONTEXT_VAR.get().stats.quantifier_instantiations += instantiations
     if instantiations:
         current_obs().registry.counter(
             "smt.quantifier_instantiations",

@@ -4,16 +4,22 @@ Every satisfiability check — one-shot (``repro.smt.check_sat``) or
 incremental (:meth:`repro.smt.IncrementalSolver._check`) — funnels its typed
 :class:`~repro.smt.result.CheckStats` through :func:`record_check_metrics`,
 which increments the current :class:`repro.obs.MetricsRegistry` and, when
-the structured event log is on, appends one ``smt_check`` record.
+the structured event log is on, appends one ``smt_check`` record.  This is
+the only code that reads a check's statistics for reporting: per-function
+results, the CLI/daemon JSON and ``BENCH_fixpoint.json`` are all views of
+the registry.
 
 Determinism contract: the record rides on the answer, so answer-cache
 replays re-emit the original check's counts.  A fresh one-shot solve of the
 same formula produces the same deterministic counts, which is why merged
 counter totals agree between serial runs (shared cache, many replays) and
-``--jobs N`` runs (private per-worker caches, more fresh solves).
+``--jobs N`` runs (private per-worker caches, more fresh solves).  Time is
+not replayed: only a fresh check adds to the ``*_seconds`` metrics.
 """
 
 from __future__ import annotations
+
+from typing import Optional
 
 from repro.obs import (
     EXPLANATION_SIZE_BUCKETS,
@@ -32,22 +38,32 @@ _COUNTER_FIELDS = (
     ("sat_phase_saving_hits", "decisions that reused a saved phase"),
     ("theory_propagations", "theory-implied literals enqueued into the SAT core"),
     ("partial_checks", "rational feasibility checks at partial assignments"),
+    ("final_checks", "integer (branch-and-bound) checks at full assignments"),
     ("core_shrink_rounds", "drop-one LIA calls spent minimising conflict cores"),
     ("shrink_budget_hits", "core-shrink rounds truncated by the per-check budget"),
     ("explanations", "theory conflict explanations"),
     ("explanation_literals", "total literals across conflict explanations"),
     ("simplex_pivots", "simplex pivot operations"),
+    ("clauses_retained", "clauses added to a persistent SAT core, surviving pop()"),
+)
+
+#: ``CheckStats`` time fields mirrored into ``smt.<name>`` counters by fresh
+#: checks only.
+_TIME_FIELDS = (
+    ("sat_time", "sat_seconds", "SAT search time of fresh checks"),
+    ("theory_time", "theory_seconds", "theory-solver time of fresh checks"),
 )
 
 
 def record_check_metrics(
-    answer: SolverAnswer, elapsed: float, source: str = "oneshot"
+    answer: SolverAnswer, elapsed: Optional[float], source: str = "oneshot"
 ) -> None:
     """Emit one check's statistics into the ambient observability context.
 
-    ``elapsed`` is the caller-observed wall time (0.0 for cache replays, so
-    the latency histogram reflects work actually done while every count
-    column stays replay-invariant).  ``source`` distinguishes the one-shot
+    ``elapsed`` is the caller-observed wall time of a fresh check, or
+    ``None`` for an answer-cache replay.  A replay re-emits every count and
+    observes 0.0 latency, so count columns stay replay-invariant, but adds
+    nothing to the time counters.  ``source`` distinguishes the one-shot
     pipeline from the incremental backend in the query counters.
     """
     obs = current_obs()
@@ -62,11 +78,16 @@ def record_check_metrics(
         LATENCY_BUCKETS_SECONDS,
         help="wall-clock latency per satisfiability check",
         unit="seconds",
-    ).observe(elapsed)
+    ).observe(elapsed or 0.0)
     for field, help_text in _COUNTER_FIELDS:
         value = getattr(stats, field)
         if value:
             registry.counter(f"smt.{field}", help=help_text).inc(value)
+    if elapsed is not None:
+        for field, name, help_text in _TIME_FIELDS:
+            value = getattr(stats, field)
+            if value:
+                registry.counter(f"smt.{name}", help=help_text, unit="seconds").inc(value)
     if stats.explanation_sizes:
         histogram = registry.histogram(
             "smt.explanation_size",
@@ -90,7 +111,7 @@ def record_check_metrics(
             source=source,
             engine=stats.engine,
             result=answer.result.value,
-            elapsed=elapsed,
+            elapsed=elapsed or 0.0,
             conflicts=stats.sat_conflicts,
             theory_propagations=stats.theory_propagations,
             core_shrink_rounds=stats.core_shrink_rounds,

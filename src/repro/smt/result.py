@@ -30,7 +30,10 @@ class CheckStats:
     The record rides on :class:`SolverAnswer`, so answer-cache replays
     re-emit the *original* check's numbers — which keeps merged registry
     totals identical between serial and parallel runs (a worker that misses
-    its private cache re-derives the same deterministic counts).
+    its private cache re-derives the same deterministic counts).  Reports
+    read it in one place only: :func:`repro.smt.metrics_bridge.record_check_metrics`
+    mirrors it into the metrics registry, and every report is a view of
+    that registry.
     """
 
     engine: str = "online"
@@ -47,6 +50,10 @@ class CheckStats:
     explanations: int = 0
     explanation_literals: int = 0
     simplex_pivots: int = 0
+    #: Clauses this check added to a persistent SAT core (learned clauses
+    #: and theory lemmas, which survive ``pop()``); filled by
+    #: :class:`repro.smt.IncrementalSolver`, 0 for one-shot checks.
+    clauses_retained: int = 0
     sat_time: float = 0.0
     theory_time: float = 0.0
     #: Literal count of each conflict explanation in this check, in order —

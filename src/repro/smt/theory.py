@@ -127,18 +127,10 @@ class TheorySolver:
         self._max_rounds = 0
         self.last_model: Optional[Dict[str, Rational]] = None
         # -- statistics ------------------------------------------------------
-        # Cumulative lifetime counters (kept for introspection/debugging)...
-        self.theory_propagations = 0
-        self.partial_checks = 0
-        self.final_checks = 0
-        self.core_shrink_rounds = 0
-        self.shrink_budget_hits = 0
-        self.explanations = 0
-        self.explanation_literals = 0
+        # Lifetime theory time (per-check deltas feed ``check.theory_time``)
+        # and the typed per-check record: zeroed in :meth:`begin_check`,
+        # completed and handed to the caller by :meth:`finish_check`.
         self.time_spent = 0.0
-        # ...plus the typed per-check record: zeroed in :meth:`begin_check`,
-        # completed and handed to the caller by :meth:`finish_check`.  This
-        # replaces the old snapshot-and-diff protocol.
         self.check = CheckStats()
         self._explanation_sizes: List[int] = []
         self._pivots_at_begin = 0
@@ -310,7 +302,6 @@ class TheorySolver:
             return []
         pending = self.propagation_queue
         self.propagation_queue = []
-        self.theory_propagations += len(pending)
         self.check.theory_propagations += len(pending)
         return pending
 
@@ -348,7 +339,6 @@ class TheorySolver:
         """Rational feasibility of the current partial assignment."""
         started = time.perf_counter()
         try:
-            self.partial_checks += 1
             self.check.partial_checks += 1
             conflict = self._simplex.feasible()
             if conflict is None:
@@ -366,7 +356,6 @@ class TheorySolver:
         """
         started = time.perf_counter()
         try:
-            self.final_checks += 1
             self.check.final_checks += 1
             self._bump_round()
             simplex = self._simplex
@@ -430,8 +419,6 @@ class TheorySolver:
         lits = [lit for lit in lits if lit != INTERNAL_ORIGIN]
         if shrink and SHRINK_MIN_LITERALS <= len(lits) <= SHRINK_MAX_LITERALS:
             lits = self._shrink(lits)
-        self.explanations += 1
-        self.explanation_literals += len(lits)
         self.check.explanations += 1
         self.check.explanation_literals += len(lits)
         self._explanation_sizes.append(len(lits))
@@ -447,7 +434,6 @@ class TheorySolver:
         """
         budget = self._shrink_rounds_left
         if budget <= 0:
-            self.shrink_budget_hits += 1
             self.check.shrink_budget_hits += 1
             return lits
         constraints: Dict[int, Constraint] = {}
@@ -461,12 +447,10 @@ class TheorySolver:
             if len(essential) <= 2:
                 break
             if budget <= 0:
-                self.shrink_budget_hits += 1
                 self.check.shrink_budget_hits += 1
                 break
             budget -= 1
             trial = [constraints[other] for other in essential if other != lit]
-            self.core_shrink_rounds += 1
             self.check.core_shrink_rounds += 1
             result = check_lia(trial, self._int_vars, max_nodes=SHRINK_NODE_BUDGET)
             if result.status == "unsat":

@@ -34,6 +34,7 @@ from repro.logic import (
     not_,
     sub,
 )
+from repro.obs import ObsContext, use_obs
 from repro.smt import is_valid
 
 
@@ -273,10 +274,12 @@ class TestStrategies:
 
     def test_incremental_stats_reported(self):
         decls = [KVarDecl("inv", (("i", INT), ("n", INT)))]
-        result = self._solve("incremental", _loop_invariant_constraint(), decls)
+        obs = ObsContext.create()
+        with use_obs(obs):
+            result = self._solve("incremental", _loop_invariant_constraint(), decls)
         assert result.assumption_checks > 0
         assert result.incremental_hits > 0
-        assert result.clauses_retained > 0
+        assert obs.registry.value("smt.clauses_retained") > 0
         assert result.from_scratch_solves < result.smt_queries
 
     def test_naive_does_no_incremental_work(self):

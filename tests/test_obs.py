@@ -303,11 +303,27 @@ class TestSchedulingDeterminism:
             fn.name: {
                 key: value
                 for key, value in fn.metrics.items()
-                if not key.endswith("_time")
+                if not key.endswith("_seconds")
             }
             for fn in report.jobs[0].functions
         }
         assert by_name(serial) == by_name(parallel)
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_function_metric_deltas_add_up_to_the_session(self, jobs):
+        session = VerifySession(use_cache=False, jobs=jobs)
+        report = verify_jobs([VerifyJob(source=MULTI, name="multi")], session)
+        fresh = [fn for fn in report.jobs[0].functions if not fn.cached]
+        assert fresh
+        counters = {
+            name: entry["value"]
+            for name, entry in session.metrics_snapshot().items()
+            if entry["kind"] == "counter" and name.startswith(("smt.", "fixpoint."))
+        }
+        assert "smt.clauses_retained" in counters and "fixpoint.smt_queries" in counters
+        for name, value in counters.items():
+            total = sum(fn.metrics.get(name, 0) for fn in fresh)
+            assert total == pytest.approx(value, rel=1e-9), name
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,13 @@
 """The verification service: sessions, result cache, scheduler, API, CLI."""
 
 import json
+import os
 
 import pytest
 
 from repro.core import FluxError, verify_source
 from repro.core.pipeline import FunctionResult, VerificationResult
+from repro.obs import ObsContext, use_obs
 from repro.service import (
     VerifyJob,
     VerifySession,
@@ -13,6 +15,7 @@ from repro.service import (
     verify_jobs,
 )
 from repro.service import verify_source as service_verify_source
+from repro.service.cache import ResultCache
 from repro.service.cli import main as cli_main
 from repro.smt import AnswerCache, SmtContext, use_context
 from repro.smt.result import SatResult, SolverAnswer
@@ -56,6 +59,11 @@ def _answer() -> SolverAnswer:
     return SolverAnswer(result=SatResult.UNSAT)
 
 
+def _queries(registry) -> int:
+    """SMT checks recorded in ``registry``, one-shot plus incremental."""
+    return registry.value("smt.queries.oneshot") + registry.value("smt.queries.incremental")
+
+
 class TestAnswerCache:
     def test_hit_and_miss_counts(self):
         cache = AnswerCache(limit=4)
@@ -77,12 +85,13 @@ class TestAnswerCache:
 
     def test_contexts_isolate_caches(self):
         ctx = SmtContext()
-        with use_context(ctx):
+        obs = ObsContext.create()
+        with use_context(ctx), use_obs(obs):
             verify_source(INC)
-        assert ctx.stats.queries > 0
+        assert _queries(obs.registry) > 0
         assert len(ctx.cache) > 0
         other = SmtContext()
-        assert other.stats.queries == 0 and len(other.cache) == 0
+        assert len(other.cache) == 0
 
 
 # ---------------------------------------------------------------------------
@@ -182,12 +191,12 @@ class TestResultCache:
         cold = service_verify_source(INC + INC2 + SUM, session=session)
         assert cold.ok
         assert session.cache.hits == 0 and session.cache.misses == 3
-        queries_after_cold = session.stats.queries
+        queries_after_cold = _queries(session.metrics)
 
         warm = service_verify_source(INC + INC2 + SUM, session=session)
         assert warm.ok
         assert session.cache.hits == 3, "warm run must be served from cache"
-        assert session.stats.queries == queries_after_cold, "no SMT work on warm run"
+        assert _queries(session.metrics) == queries_after_cold, "no SMT work on warm run"
         assert [fn.name for fn in warm.functions] == [fn.name for fn in cold.functions]
 
     def test_editing_a_body_only_reverifies_that_function(self):
@@ -257,6 +266,21 @@ class TestResultCache:
         result = service_verify_source(INC + INC2, session=fresh)
         assert result.ok
         assert fresh.cache.hits == 2 and fresh.cache.misses == 0
+
+    def test_non_numeric_metric_entry_is_a_miss(self, tmp_path):
+        cache_dir = str(tmp_path / "flux-cache")
+        session = VerifySession(cache_dir=cache_dir)
+        service_verify_source(INC, session=session)
+        (entry,) = [name for name in os.listdir(cache_dir) if name.endswith(".json")]
+        path = os.path.join(cache_dir, entry)
+        with open(path, encoding="utf-8") as handle:
+            payload = json.load(handle)
+        payload["metrics"] = {"fixpoint.smt_queries": "3"}
+        with open(path, "w", encoding="utf-8") as handle:
+            json.dump(payload, handle)
+        cache = ResultCache(cache_dir=cache_dir)
+        assert cache.get(entry[: -len(".json")]) is None
+        assert cache.misses == 1 and cache.hits == 0
 
     def test_editing_adt_reached_only_via_callee_signature_invalidates(self):
         # ``use_mk`` never names S itself — it only calls ``mk() -> S`` — but
@@ -332,7 +356,7 @@ class TestScheduler:
     def test_parallel_populates_cache_and_session_stats(self):
         session = VerifySession(jobs=2)
         service_verify_source(self.PROGRAM, session=session)
-        assert session.stats.queries > 0  # worker deltas merged back
+        assert _queries(session.metrics) > 0  # worker deltas merged back
         warm = service_verify_source(self.PROGRAM, session=session)
         assert session.cache.hits == 4
         assert not warm.ok  # BAD stays rejected from cache
@@ -433,7 +457,15 @@ class TestCli:
         assert cli_main(["--no-cache", "--jobs", "2", prog]) == 1
         parallel = json.loads(capsys.readouterr().out)
         strip = lambda payload: [
-            {k: v for k, v in fn.items() if k != "time"}
+            {
+                k: (
+                    {m: n for m, n in v.items() if not m.endswith("_seconds")}
+                    if k == "metrics"
+                    else v
+                )
+                for k, v in fn.items()
+                if k != "time"
+            }
             for job in payload["jobs"]
             for fn in job["functions"]
         ]

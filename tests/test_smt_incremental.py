@@ -27,6 +27,7 @@ from repro.logic.expr import (
     sub,
 )
 from repro.logic.sorts import BOOL, INT
+from repro.obs import ObsContext, use_obs
 from repro.smt import IncrementalSolver, SatResult, is_valid
 from repro.smt.sat import SatSolver
 from repro.smt.solver import solve_formula
@@ -153,14 +154,16 @@ class TestAssertionStack:
     def test_repeated_goal_uses_cached_encoding(self):
         x = Var("x")
         solver = IncrementalSolver({"x": INT})
-        for bound in (1, 2, 3):
-            solver.push()
-            solver.assert_expr(ge(x, bound))
-            assert solver.check_valid(gt(x, 0))
-            solver.pop()
-        assert solver.assumption_checks == 3
-        # clause database grew during the first visit, later ones reuse it
-        assert solver.checks == 3
+        obs = ObsContext.create()
+        with use_obs(obs):
+            for bound in (1, 2, 3):
+                solver.push()
+                solver.assert_expr(ge(x, bound))
+                assert solver.check_valid(gt(x, 0))
+                solver.pop()
+        # three assumption checks; clause database grew during the first
+        # visit, later ones reuse it
+        assert obs.registry.value("smt.queries.incremental") == 3
 
     def test_bool_sorted_variables(self):
         p = Var("p", BOOL)

@@ -27,7 +27,8 @@ from repro.logic import (
     sub,
 )
 from repro.logic.expr import App, Ite, KVar
-from repro.smt import check_sat, is_satisfiable, is_valid, get_stats, reset_stats
+from repro.obs import ObsContext, use_obs
+from repro.smt import SmtContext, check_sat, is_satisfiable, is_valid, use_context
 from repro.smt.solver import SmtError, solve_formula
 
 
@@ -171,11 +172,36 @@ class TestValidity:
         assert is_valid([gt(x, 0), lt(x, 0)], FALSE)
 
     def test_stats_recorded(self):
-        reset_stats()
-        is_valid([gt(x, 0)], ge(x, 1))
-        stats = get_stats()
-        assert stats.queries >= 1
-        assert stats.valid >= 1
+        obs = ObsContext.create()
+        with use_obs(obs):
+            is_valid([gt(x, 0)], ge(x, 1))
+        assert obs.registry.value("smt.queries.oneshot") >= 1
+        assert obs.registry.value("smt.result.unsat") >= 1
+
+    def test_replay_counts_work_but_not_time(self):
+        """A second ``check_sat`` of one formula replays the answer cache:
+        every ``smt.*`` count doubles, and no time is added."""
+        formula = and_(ge(x, 0), or_(lt(x, 3), gt(y, x)), le(add(x, y), 7))
+        obs = ObsContext.create()
+        with use_obs(obs), use_context(SmtContext()):
+            check_sat(formula)
+            first = obs.registry.snapshot()
+            check_sat(formula)
+            second = obs.registry.snapshot()
+        assert second["smt.queries.oneshot"]["value"] == 2
+        for name, entry in first.items():
+            if entry["unit"] == "seconds":
+                continue
+            if entry["kind"] == "histogram":
+                assert second[name]["count"] == 2 * entry["count"], name
+                assert second[name]["sum"] == 2 * entry["sum"], name
+            else:
+                assert second[name]["value"] == 2 * entry["value"], name
+        for name in ("smt.sat_seconds", "smt.theory_seconds"):
+            assert first[name]["value"] > 0
+            assert second[name]["value"] == first[name]["value"]
+        assert second["smt.query_seconds"]["count"] == 2
+        assert second["smt.query_seconds"]["sum"] == first["smt.query_seconds"]["sum"]
 
 
 class TestQuantifiers:

@@ -29,7 +29,8 @@ from repro.logic.expr import (
     sub,
 )
 from repro.logic.sorts import INT
-from repro.smt import IncrementalSolver, SatResult
+from repro.obs import ObsContext, use_obs
+from repro.smt import IncrementalSolver, SatResult, check_sat
 from repro.smt.atoms import LinearAtom, LinTerm, atom_constraint
 from repro.smt.lia import check_lia
 from repro.smt.sat import SatSolver
@@ -114,15 +115,18 @@ class TestOnlineOfflineDifferential:
         """Sanity: the differential above actually runs the online paths."""
         rng = random.Random(7)
         solver = IncrementalSolver()
-        for _ in range(30):
-            solver.push()
-            for _ in range(rng.randint(1, 3)):
-                solver.assert_expr(_random_atom(rng))
-            solver.check_valid(_random_formula(rng, depth=2))
-            solver.pop()
-        assert solver.partial_checks > 0
-        assert solver.explanations >= 0  # populated field, not an AttributeError
-        assert solver.theory_time >= 0.0
+        obs = ObsContext.create()
+        with use_obs(obs):
+            for _ in range(30):
+                solver.push()
+                for _ in range(rng.randint(1, 3)):
+                    solver.assert_expr(_random_atom(rng))
+                solver.check_valid(_random_formula(rng, depth=2))
+                solver.pop()
+        registry = obs.registry
+        assert registry.value("smt.partial_checks") > 0
+        assert registry.value("smt.explanations") >= 0
+        assert registry.value("smt.theory_seconds") >= 0.0
 
 
 class TestBacktrackableSimplex:
@@ -220,9 +224,11 @@ class TestTheoryPropagation:
         # Mention both atoms so they are registered before the check.
         solver.assert_expr(ge(x, 5))
         solver.assert_expr(or_(ge(x, 3), le(x, 0)))
-        answer = solver.check_sat()
+        obs = ObsContext.create()
+        with use_obs(obs):
+            answer = solver.check_sat()
         assert answer.result is SatResult.SAT
-        assert solver.theory_propagations > 0
+        assert obs.registry.value("smt.theory_propagations") > 0
         solver.pop()
 
     def test_partial_checks_happen(self):
@@ -231,9 +237,24 @@ class TestTheoryPropagation:
         solver.push()
         solver.assert_expr(and_(ge(x, 0), le(add(x, y), 10)))
         solver.assert_expr(ge(y, 0))
-        assert solver.check_valid(le(x, IntConst(10)))
+        obs = ObsContext.create()
+        with use_obs(obs):
+            assert solver.check_valid(le(x, IntConst(10)))
         solver.pop()
-        assert solver.partial_checks > 0
+        assert obs.registry.value("smt.partial_checks") > 0
+
+    def test_final_checks_reach_the_registry(self):
+        """``2x - 2y = 1`` with ``0 <= x, y <= 3`` is rationally feasible, so
+        only branch-and-bound at a full assignment refutes it; each such
+        final check is counted as ``smt.final_checks``."""
+        x, y = Var("x"), Var("y")
+        bounds = [ge(x, 0), le(x, 3), ge(y, 0), le(y, 3)]
+        formula = and_(BinOp("=", sub(add(x, x), add(y, y)), IntConst(1)), *bounds)
+        obs = ObsContext.create()
+        with use_obs(obs):
+            answer = check_sat(formula, {"x": INT, "y": INT})
+        assert answer.result is SatResult.UNSAT
+        assert obs.registry.value("smt.final_checks") > 0
 
 
 class TestBudgets:
@@ -280,13 +301,16 @@ class TestExplanationShrinking:
         for pad in pads:
             solver.assert_expr(ge(pad, 0))
         solver.assert_expr(ge(x, 5))
-        assert solver.check_valid(ge(x, 1))
+        obs = ObsContext.create()
+        with use_obs(obs):
+            assert solver.check_valid(ge(x, 1))
         solver.pop()
         # The refutation's conflict is the bound clash {x >= 5, x < 1}; with
         # six padding atoms asserted the average explanation stays far below
         # the asserted-atom count.
-        if solver.explanations:
-            assert solver.explanation_literals / solver.explanations <= 4
+        explanations = obs.registry.value("smt.explanations")
+        if explanations:
+            assert obs.registry.value("smt.explanation_literals") / explanations <= 4
 
     def test_branch_and_bound_fallback_is_shrunk(self):
         """``2x - 2y = 1`` with ``0 <= x, y <= 3`` is rationally feasible but
