@@ -29,7 +29,7 @@ from repro.daemon.protocol import JobRecord, JobRequest, ProtocolError, error_pa
 from repro.daemon.queue import JobQueue, QueueFull
 from repro.daemon.quotas import QuotaExceeded, TenantQuotas
 from repro.daemon.server import DaemonConfig, VerifyDaemon, run_daemon
-from repro.daemon.workers import WorkerHandle, WorkerPool
+from repro.daemon.workers import WorkerPool
 
 __all__ = [
     "DaemonConfig",
@@ -40,7 +40,6 @@ __all__ = [
     "QueueFull",
     "QuotaExceeded",
     "TenantQuotas",
-    "WorkerHandle",
     "WorkerPool",
     "VerifyDaemon",
     "error_payload",

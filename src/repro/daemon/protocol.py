@@ -170,6 +170,11 @@ class JobRecord:
             "submitted": self.submitted,
             "duplicates": self.duplicates,
         }
+        # Set once the job reaches a worker: the attempt it is on and the
+        # pid of the worker that ran (or is running) that attempt.
+        for key in ("attempts", "worker_pid"):
+            if key in self.meta:
+                payload[key] = self.meta[key]
         if self.started is not None:
             payload["started"] = self.started
         if self.finished is not None:

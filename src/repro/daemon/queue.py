@@ -30,10 +30,13 @@ Fault containment (see ``docs/robustness.md``): a job that outlives
 worker is **killed and replaced** — subprocesses, unlike the executor
 threads they replaced, cannot linger as unkillable orphans.  A worker that
 *dies* mid-job (OOM killer, injected crash, segfault) has the job retried
-with backoff on a fresh worker up to ``job_retries`` times
-(``record.meta["attempts"]`` surfaces the count); when retries run out the
-job fails with a structured ``WORKER_CRASHED`` payload.  Timeouts are not
-retried: a deterministic over-budget job would just time out again.
+with backoff on a fresh worker up to ``job_retries`` times (default
+:data:`repro.faults.CRASH_RETRIES`, the rule the ``--jobs`` scheduler
+applies to a function); when retries run out the job fails with a
+structured ``WORKER_CRASHED`` payload.  ``GET /jobs/<id>`` reports the
+attempt count and the pid of the worker that produced the outcome.
+Timeouts are not retried: a deterministic over-budget job would just time
+out again.
 """
 
 from __future__ import annotations
@@ -49,15 +52,9 @@ from repro.obs.metrics import REQUEST_LATENCY_BUCKETS, MetricsRegistry
 
 from repro.daemon.protocol import JobRecord, JobRequest, error_payload, job_id_for
 from repro.daemon.quotas import QuotaExceeded, TenantQuotas
-from repro.daemon.workers import WorkerHandle, WorkerPool
+from repro.daemon.workers import WorkerPool
 
 __all__ = ["JobQueue", "QueueFull", "QuotaExceeded"]
-
-#: Crash retries per job (beyond the first attempt) before WORKER_CRASHED.
-DEFAULT_JOB_RETRIES = 1
-
-#: Base backoff before a crash retry (doubles per attempt).
-RETRY_BACKOFF_SECONDS = 0.05
 
 
 class QueueFull(Exception):
@@ -88,7 +85,7 @@ class JobQueue:
         queue_limit: int = 64,
         quotas: Optional[TenantQuotas] = None,
         job_timeout: Optional[float] = None,
-        job_retries: int = DEFAULT_JOB_RETRIES,
+        job_retries: int = faults.CRASH_RETRIES,
         retention: int = 512,
     ) -> None:
         self.pool = pool
@@ -306,7 +303,9 @@ class JobQueue:
 
     # -- execution ---------------------------------------------------------------
 
-    def _dispatch(self, record: JobRecord, worker: WorkerHandle, attempt: int) -> Dict[str, object]:
+    def _dispatch(
+        self, record: JobRecord, worker: faults.Worker, attempt: int
+    ) -> Dict[str, object]:
         """Runs on an executor thread: one pipe round-trip to the worker."""
         try:
             # Chaos site on the dispatch path itself; a "crash" here cannot
@@ -317,7 +316,7 @@ class JobQueue:
             return {"status": "crashed", "message": str(error)}
         except MemoryError as error:
             return {"status": "error", "kind": "INTERNAL", "message": str(error)}
-        return worker.run_job(record.request.to_dict(), self.job_timeout, attempt)
+        return self.pool.run_job(worker, record.request.to_dict(), self.job_timeout, attempt)
 
     async def _worker_loop(self) -> None:
         assert self._wakeup is not None
@@ -336,7 +335,7 @@ class JobQueue:
         record.error = error_payload(kind, message, job=record.id)["error"]
         self._counter(counter, help).inc()
 
-    def _retire(self, worker: WorkerHandle) -> None:
+    def _retire(self, worker: faults.Worker) -> None:
         """Kill a compromised worker; the pool mints a replacement."""
         self.pool.retire(worker)
         self._counter(
@@ -357,6 +356,7 @@ class JobQueue:
                 attempt += 1
                 record.meta["attempts"] = attempt
                 worker = self.pool.acquire()
+                record.meta["worker_pid"] = worker.pid
                 try:
                     future = self._executor.submit(self._dispatch, record, worker, attempt)
                     outcome = await asyncio.wrap_future(future, loop=loop)
@@ -396,7 +396,7 @@ class JobQueue:
                             "units of work re-run after a worker crash",
                         ).inc()
                         await asyncio.sleep(
-                            RETRY_BACKOFF_SECONDS * (2 ** (attempt - 1))
+                            faults.RETRY_BACKOFF_SECONDS * (2 ** (attempt - 1))
                         )
                         continue
                     self._fail(

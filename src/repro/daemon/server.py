@@ -38,6 +38,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Tuple
 
+from repro import faults
 from repro.obs import span as obs_span
 from repro.obs.metrics import (
     REQUEST_LATENCY_BUCKETS,
@@ -49,7 +50,7 @@ from repro.daemon.protocol import (
     ProtocolError,
     error_payload,
 )
-from repro.daemon.queue import DEFAULT_JOB_RETRIES, JobQueue, QueueFull
+from repro.daemon.queue import JobQueue, QueueFull
 from repro.daemon.quotas import QuotaExceeded, TenantQuotas
 from repro.daemon.workers import WorkerPool
 
@@ -89,12 +90,12 @@ class DaemonConfig:
     #: Per-job wall-clock budget in seconds (None = unbounded).
     job_timeout: Optional[float] = 120.0
     #: Crash retries per job before it fails with ``WORKER_CRASHED``.
-    job_retries: int = DEFAULT_JOB_RETRIES
+    job_retries: int = faults.CRASH_RETRIES
     #: Graceful-shutdown drain budget in seconds.
     drain_timeout: Optional[float] = 60.0
     #: Persist the function-result cache under this directory.
     cache_dir: Optional[str] = None
-    #: ``VerifySession(jobs=...)`` — the per-job scheduler's process pool.
+    #: ``VerifySession(jobs=...)`` — the per-job scheduler's worker count.
     session_jobs: int = 1
     #: Per-function wall-clock deadline inside each job (None = unbounded).
     fn_deadline: Optional[float] = None

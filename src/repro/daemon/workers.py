@@ -1,11 +1,12 @@
-"""Killable verification workers: one warm subprocess per daemon worker.
+"""Killable verification workers: one warm session per daemon worker process.
 
 The daemon used to run jobs on executor *threads* around a pool of warm
 sessions — but Python threads cannot be killed, so a timed-out job left an
 unkillable orphan thread mutating a retired session, and enough of them
 exhausted the executor.  A :class:`WorkerPool` replaces that with real
-subprocesses: each :class:`WorkerHandle` forks a child that builds one warm
-:class:`~repro.service.session.VerifySession` and serves jobs over a pipe
+subprocesses: each is a :class:`repro.faults.Worker` (the same forked
+worker the ``--jobs`` scheduler runs on) that builds one warm
+:class:`~repro.service.session.VerifySession` and serves jobs over its pipe
 for its whole lifetime (keeping the interned terms, SMT answer cache and
 function-result cache hot, exactly like the old session pool).  A job that
 times out or a child that dies is handled by **killing the worker** —
@@ -22,202 +23,87 @@ replaces the previous one).
 
 from __future__ import annotations
 
-import multiprocessing
-import signal
-from typing import Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro import faults
 from repro.obs.metrics import MetricsRegistry
 
-__all__ = ["WorkerHandle", "WorkerPool"]
+__all__ = ["WorkerPool"]
 
-#: Seconds a worker gets to honour SIGTERM before SIGKILL.
-KILL_GRACE_SECONDS = 0.5
-
-#: Seconds a worker gets to exit after a graceful ``stop`` message.
-STOP_GRACE_SECONDS = 2.0
+_NO_CACHE = {"hits": 0, "misses": 0, "entries": 0}
 
 
-def _worker_main(conn, config: Dict[str, object]) -> None:
-    """Child entry point: serve ``verify`` requests over ``conn`` forever."""
-    # The fork inherited the daemon's asyncio signal plumbing; detach it,
-    # or this child's SIGTERM would write to the wakeup pipe it shares
-    # with the parent loop and could be mistaken for a daemon shutdown.
-    try:
-        signal.set_wakeup_fd(-1)
-    except (ValueError, OSError):
-        pass
-    signal.signal(signal.SIGTERM, signal.SIG_DFL)
-    signal.signal(signal.SIGINT, signal.SIG_IGN)
-    faults.mark_worker()
-    faults.apply_memory_limit(config.get("memory_limit_mb"))
+def _session_server(config: Dict[str, object]) -> Callable[[], Callable[[Dict], Dict]]:
+    """The worker side: a warm session that answers one job per request."""
 
-    from repro.service.api import VerifyJob, verify_job
-    from repro.service.session import VerifySession
+    def factory() -> Callable[[Dict], Dict]:
+        from repro.service.api import VerifyJob, verify_job
+        from repro.service.session import VerifySession
 
-    session = VerifySession(
-        cache_dir=config.get("cache_dir"),
-        jobs=int(config.get("session_jobs", 1) or 1),
-        trace=bool(config.get("trace", False)),
-        fn_deadline=config.get("fn_deadline"),
-        memory_limit_mb=config.get("memory_limit_mb"),
-    )
-    while True:
-        try:
-            message = conn.recv()
-        except (EOFError, OSError):
-            break
-        if not isinstance(message, tuple) or not message or message[0] == "stop":
-            break
-        _verb, request_dict, attempt = message
-        faults.set_attempt(int(attempt))
-        try:
-            faults.inject("daemon.job", key=str(request_dict.get("name", "")))
-            job = VerifyJob(
-                source=str(request_dict["source"]),
-                name=str(request_dict.get("name", "job")),
-                extra_sources=tuple(request_dict.get("extra_sources", ())),
-                only=tuple(request_dict["only"]) if request_dict.get("only") is not None else None,
-            )
-            report = verify_job(job, session).to_dict()
-            reply: Dict[str, object] = {
-                "status": "ok",
-                "report": report,
-                "metrics": session.metrics_snapshot(),
-                "cache": {
-                    "hits": session.cache.hits,
-                    "misses": session.cache.misses,
-                    "entries": len(session.cache),
-                },
-            }
-        except MemoryError:
-            reply = {
-                "status": "error",
-                "kind": "INTERNAL",
-                "message": "worker hit its memory ceiling while running the job",
-            }
-        except Exception as error:  # noqa: BLE001 — the reply carries the error
-            reply = {
-                "status": "error",
-                "kind": "INTERNAL",
-                "message": f"{type(error).__name__}: {error}",
-            }
-        try:
-            conn.send(reply)
-        except (BrokenPipeError, OSError):
-            break
-    try:
-        conn.close()
-    except OSError:
-        pass
-
-
-class WorkerHandle:
-    """One warm worker subprocess plus its parent end of the pipe."""
-
-    def __init__(self, config: Dict[str, object], index: int) -> None:
-        context = multiprocessing.get_context("fork")
-        parent_conn, child_conn = context.Pipe()
-        self.process = context.Process(
-            target=_worker_main,
-            args=(child_conn, config),
-            name=f"repro-daemon-worker-{index}",
-            daemon=True,
+        session = VerifySession(
+            cache_dir=config.get("cache_dir"),
+            jobs=int(config.get("session_jobs", 1) or 1),
+            trace=bool(config.get("trace", False)),
+            fn_deadline=config.get("fn_deadline"),
+            memory_limit_mb=config.get("memory_limit_mb"),
         )
-        self.process.start()
-        child_conn.close()
-        self.conn = parent_conn
-        self.index = index
-        self.jobs_done = 0
-        #: Latest cumulative metrics/cache snapshot the child reported.
-        self.last_metrics: Dict[str, object] = {}
-        self.last_cache: Dict[str, int] = {"hits": 0, "misses": 0, "entries": 0}
 
-    @property
-    def pid(self) -> Optional[int]:
-        return self.process.pid if self.process is not None else None
-
-    @property
-    def alive(self) -> bool:
-        try:
-            return self.process is not None and self.process.is_alive()
-        except ValueError:
-            return False
-
-    def run_job(
-        self, request_dict: Dict[str, object], timeout: Optional[float], attempt: int = 1
-    ) -> Dict[str, object]:
-        """Send one job and wait for the reply; blocking, call off-loop.
-
-        Returns the child's reply dict, or a synthetic ``timeout`` /
-        ``crashed`` status when the child overran ``timeout`` or died
-        mid-job.  Either way the caller must retire this worker before
-        reusing the pipe: a late reply from a timed-out job would
-        otherwise be read as the answer to the *next* job.
-        """
-        try:
-            self.conn.send(("verify", request_dict, attempt))
-        except (BrokenPipeError, OSError):
-            return {"status": "crashed", "message": f"worker pid {self.pid} pipe closed"}
-        try:
-            if timeout is not None and not self.conn.poll(timeout):
-                return {"status": "timeout"}
-            reply = self.conn.recv()
-        except (EOFError, OSError):
-            return {"status": "crashed", "message": f"worker pid {self.pid} died mid-job"}
-        if isinstance(reply, dict) and reply.get("status") == "ok":
-            self.jobs_done += 1
-            self.last_metrics = reply.get("metrics", {})
-            self.last_cache = reply.get("cache", self.last_cache)
-        return reply if isinstance(reply, dict) else {
-            "status": "error",
-            "kind": "INTERNAL",
-            "message": f"malformed worker reply: {type(reply).__name__}",
-        }
-
-    def kill(self) -> None:
-        """Hard teardown: SIGTERM, bounded grace, SIGKILL, always joined."""
-        process, self.process = self.process, None
-        if process is not None:
-            faults.reap_process(process, grace=KILL_GRACE_SECONDS)
+        def serve(request_dict: Dict) -> Dict:
             try:
-                process.close()
-            except ValueError:
-                pass
-        try:
-            self.conn.close()
-        except OSError:
-            pass
+                faults.inject("daemon.job", key=str(request_dict.get("name", "")))
+                only = request_dict.get("only")
+                job = VerifyJob(
+                    source=str(request_dict["source"]),
+                    name=str(request_dict.get("name", "job")),
+                    extra_sources=tuple(request_dict.get("extra_sources", ())),
+                    only=tuple(only) if only is not None else None,
+                )
+                return {
+                    "status": "ok",
+                    "report": verify_job(job, session).to_dict(),
+                    "metrics": session.metrics_snapshot(),
+                    "cache": {
+                        "hits": session.cache.hits,
+                        "misses": session.cache.misses,
+                        "entries": len(session.cache),
+                    },
+                }
+            except MemoryError:
+                return {
+                    "status": "error",
+                    "kind": "INTERNAL",
+                    "message": "worker hit its memory ceiling while running the job",
+                }
+            except Exception as error:  # noqa: BLE001 — the reply carries the error
+                return {
+                    "status": "error",
+                    "kind": "INTERNAL",
+                    "message": f"{type(error).__name__}: {error}",
+                }
 
-    def stop(self) -> None:
-        """Graceful teardown: ask the child to exit, then escalate."""
-        try:
-            self.conn.send(("stop",))
-        except (BrokenPipeError, OSError):
-            pass
-        process = self.process
-        if process is not None:
-            try:
-                process.join(timeout=STOP_GRACE_SECONDS)
-            except ValueError:
-                pass
-        self.kill()
+        return serve
+
+    return factory
 
 
 class WorkerPool:
     """A fixed-size pool of warm worker subprocesses.
 
     ``acquire``/``release``/``retire`` follow the queue's event-loop-thread
-    discipline (no internal locking); only :meth:`WorkerHandle.run_job`
-    blocks, and the queue calls it from executor threads.
+    discipline (no internal locking); only :meth:`run_job` blocks, and the
+    queue calls it from executor threads.
     """
 
     def __init__(self, config: Dict[str, object], size: int = 1) -> None:
         self.config = dict(config)
         self.size = max(0, int(size))
         self.retired_total = 0
-        self._idle: List[WorkerHandle] = []
-        self._busy: List[WorkerHandle] = []
+        self._idle: List[faults.Worker] = []
+        self._busy: List[faults.Worker] = []
+        #: Latest cumulative (metrics, cache) snapshot each live worker
+        #: reported.  Keys change only on the event-loop thread; executor
+        #: threads only replace the value of the worker they drive.
+        self._latest: Dict[faults.Worker, Tuple[Dict[str, object], Dict[str, int]]] = {}
         self._spawned = 0
         self._started = False
         self._absorbed = MetricsRegistry()
@@ -232,9 +118,15 @@ class WorkerPool:
         for _ in range(self.size):
             self._idle.append(self._spawn())
 
-    def _spawn(self) -> WorkerHandle:
+    def _spawn(self) -> faults.Worker:
         self._spawned += 1
-        return WorkerHandle(self.config, self._spawned)
+        worker = faults.Worker(
+            _session_server(self.config),
+            name=f"repro-daemon-worker-{self._spawned}",
+            memory_limit_mb=self.config.get("memory_limit_mb"),
+        )
+        self._latest[worker] = ({}, dict(_NO_CACHE))
+        return worker
 
     @property
     def warm(self) -> int:
@@ -244,18 +136,47 @@ class WorkerPool:
     def created(self) -> int:
         return self._spawned
 
-    def acquire(self) -> WorkerHandle:
+    def acquire(self) -> faults.Worker:
         if not self._idle:
             raise RuntimeError("worker pool exhausted: acquire without a free worker")
         worker = self._idle.pop()
         self._busy.append(worker)
         return worker
 
-    def release(self, worker: WorkerHandle) -> None:
+    def release(self, worker: faults.Worker) -> None:
         self._busy.remove(worker)
         self._idle.append(worker)
 
-    def retire(self, worker: WorkerHandle) -> None:
+    def run_job(
+        self,
+        worker: faults.Worker,
+        request_dict: Dict[str, object],
+        timeout: Optional[float],
+        attempt: int,
+    ) -> Dict[str, object]:
+        """Send one job to ``worker`` and wait for the reply; blocking, call off-loop.
+
+        Returns the child's reply dict, or a synthetic ``timeout`` /
+        ``crashed`` status when the child overran ``timeout`` or died
+        mid-job; either way the caller must then :meth:`retire` the worker.
+        """
+        worker.send(request_dict, attempt)
+        status, reply = worker.receive(timeout)
+        if status == "timeout":
+            return {"status": "timeout"}
+        if status == "crashed":
+            return {"status": "crashed", "message": f"worker pid {worker.pid} died mid-job"}
+        if not isinstance(reply, dict):
+            return {
+                "status": "error",
+                "kind": "INTERNAL",
+                "message": f"malformed worker reply: {type(reply).__name__}",
+            }
+        if reply.get("status") == "ok":
+            self._latest[worker] = (reply.get("metrics", {}), reply.get("cache", _NO_CACHE))
+        return reply
+
+    def retire(self, worker: faults.Worker) -> None:
         """Kill a timed-out/crashed worker and mint a fresh replacement."""
         self._busy.remove(worker)
         self._absorb(worker)
@@ -264,21 +185,22 @@ class WorkerPool:
         if self._started:
             self._idle.append(self._spawn())
 
-    def _absorb(self, worker: WorkerHandle) -> None:
-        if worker.last_metrics:
-            self._absorbed.merge(worker.last_metrics)
+    def _absorb(self, worker: faults.Worker) -> None:
+        metrics, cache = self._latest.pop(worker)
+        if metrics:
+            self._absorbed.merge(metrics)
         # Entries die with the worker's in-memory map; hits/misses are
         # lifetime totals worth keeping.
-        self._absorbed_cache["hits"] += int(worker.last_cache.get("hits", 0))
-        self._absorbed_cache["misses"] += int(worker.last_cache.get("misses", 0))
+        self._absorbed_cache["hits"] += int(cache.get("hits", 0))
+        self._absorbed_cache["misses"] += int(cache.get("misses", 0))
 
     def merged_metrics(self) -> Dict[str, object]:
         """Absorbed retirees plus the latest snapshot of every live worker."""
         merged = MetricsRegistry()
         merged.merge(self._absorbed.snapshot())
-        for worker in (*self._idle, *self._busy):
-            if worker.last_metrics:
-                merged.merge(worker.last_metrics)
+        for metrics, _cache in list(self._latest.values()):
+            if metrics:
+                merged.merge(metrics)
         return merged.snapshot()
 
     def cache_stats(self) -> Dict[str, int]:
@@ -287,10 +209,10 @@ class WorkerPool:
             "misses": self._absorbed_cache["misses"],
             "entries": 0,
         }
-        for worker in (*self._idle, *self._busy):
-            stats["hits"] += int(worker.last_cache.get("hits", 0))
-            stats["misses"] += int(worker.last_cache.get("misses", 0))
-            stats["entries"] += int(worker.last_cache.get("entries", 0))
+        for _metrics, cache in list(self._latest.values()):
+            stats["hits"] += int(cache.get("hits", 0))
+            stats["misses"] += int(cache.get("misses", 0))
+            stats["entries"] += int(cache.get("entries", 0))
         return stats
 
     def stop(self) -> None:

@@ -6,10 +6,13 @@ function verification or a daemon job) must cost exactly that unit, never
 the run around it.  This package supplies both halves of
 that promise:
 
-* **containment** — :func:`enforce_deadline` (SIGALRM-based per-unit
-  deadlines), :func:`apply_memory_limit` (an ``RLIMIT_AS`` ceiling for
-  worker processes), :class:`CircuitBreaker` (quarantine a unit after
-  repeated crashes) and :func:`live_children` (the zero-orphan audit);
+* **containment** — :class:`Worker` (the one forked worker process the
+  ``--jobs`` scheduler and the daemon both run on: a pipe per worker, so a
+  dead worker names the one unit it was running, which re-runs up to
+  :data:`CRASH_RETRIES` times on a fresh worker), :func:`enforce_deadline`
+  (SIGALRM-based per-unit deadlines), :func:`apply_memory_limit` (an
+  ``RLIMIT_AS`` ceiling for worker processes), :func:`reap_process` and
+  :func:`live_children` (the zero-orphan audit);
 * **injection** — a seeded registry of faults (:class:`FaultPlan` /
   :class:`FaultSpec`) fired at named sites via :func:`inject`, so the
   chaos harness can *prove* the containment works.  This generalises the
@@ -33,16 +36,21 @@ Plans travel to worker processes through the ``REPRO_FAULTS`` environment
 variable (installed by :func:`install_plan` / :func:`inject_faults`), so
 forked *and* spawned children honour the same schedule.  Every fired fault
 counts into the ambient metrics registry as ``faults.injections`` (and
-``faults.injections.<kind>``); containment layers add ``faults.retries``,
-``faults.breaker_trips`` and ``faults.pool_rebuilds``.
+``faults.injections.<kind>``); containment layers add
+``faults.worker_crashes`` and ``faults.retries``.
 
 See ``docs/robustness.md`` for the failure-mode matrix and the chaos-mode
 recipe.
 """
 
-from repro.faults.breaker import CircuitBreaker
 from repro.faults.limits import DeadlineExceeded, apply_memory_limit, enforce_deadline
-from repro.faults.procs import live_children, reap_process
+from repro.faults.procs import (
+    CRASH_RETRIES,
+    RETRY_BACKOFF_SECONDS,
+    Worker,
+    live_children,
+    reap_process,
+)
 from repro.faults.registry import (
     ENV_PLAN,
     FAULT_KINDS,
@@ -60,13 +68,15 @@ from repro.faults.registry import (
 )
 
 __all__ = [
-    "CircuitBreaker",
+    "CRASH_RETRIES",
     "DeadlineExceeded",
     "ENV_PLAN",
     "FAULT_KINDS",
     "FaultPlan",
     "FaultSpec",
     "InjectedCrash",
+    "RETRY_BACKOFF_SECONDS",
+    "Worker",
     "active_plan",
     "apply_memory_limit",
     "clear_plan",

@@ -51,6 +51,7 @@ import os
 import sys
 from typing import List, Optional, Sequence
 
+from repro import faults
 from repro.obs import to_prometheus
 from repro.obs.report import render_snapshot
 from repro.service.api import VerifyJob, verify_jobs
@@ -168,6 +169,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def worker_count(text: str) -> int:
+    count = int(text)
+    if count < 1:
+        raise argparse.ArgumentTypeError(
+            f"must be at least 1 (a daemon without workers never runs a job), got {count}"
+        )
+    return count
+
+
 def build_serve_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro serve",
@@ -179,10 +189,10 @@ def build_serve_parser() -> argparse.ArgumentParser:
     parser.add_argument("--port", type=int, default=7341, help="bind port (0 = ephemeral)")
     parser.add_argument(
         "--workers",
-        type=int,
+        type=worker_count,
         default=1,
         metavar="N",
-        help="concurrent verification jobs (default: 1)",
+        help="concurrent verification jobs, at least 1 (default: 1)",
     )
     parser.add_argument(
         "--queue-limit",
@@ -208,9 +218,9 @@ def build_serve_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--job-retries",
         type=int,
-        default=1,
+        default=faults.CRASH_RETRIES,
         metavar="N",
-        help="crash retries per job before WORKER_CRASHED (default: 1)",
+        help=f"crash retries per job before WORKER_CRASHED (default: {faults.CRASH_RETRIES})",
     )
     parser.add_argument(
         "--fn-deadline",

@@ -4,10 +4,14 @@ never orphaned processes."""
 
 import asyncio
 import multiprocessing
+import os
+import signal
+import warnings
 
 import pytest
 
 from repro import faults
+from repro.core.genv import GlobalEnv
 from repro.daemon.protocol import JobRequest
 from repro.daemon.queue import JobQueue
 from repro.daemon.workers import WorkerPool
@@ -60,39 +64,81 @@ def clean_verdicts():
 
 class TestSchedulerContainment:
     def test_sigkilled_worker_costs_one_rerun(self, clean_verdicts):
-        # Satellite: SIGKILL one scheduler worker mid-crate.  attempts=1
-        # makes the crash transient — the injection registry fires it on
-        # the function's first attempt only, so the single retry after the
-        # pool rebuild must succeed and every verdict must match the clean
-        # run byte for byte.
+        # SIGKILL one scheduler worker mid-crate.  attempts=1 makes the
+        # crash transient — the injection registry fires it on the
+        # function's first attempt only, so its one re-run on a fresh
+        # worker must succeed and every verdict must match the clean run
+        # byte for byte.
         plan = _plan(
             faults.FaultSpec(site="scheduler.worker", kind="crash", match="f2", attempts=1)
         )
         with faults.inject_faults(plan):
             report, session = _verify(CRATE, jobs=2)
         assert _by_name(report) == clean_verdicts
-        # The crash cost exactly one pool rebuild and at least the one
-        # lost function re-ran (innocent bystanders lost with the pool may
-        # legitimately ride along in the retry round).
-        assert session.metrics.value("faults.pool_rebuilds") == 1
+        # The dead worker's pipe names the one function it was running, so
+        # exactly that function re-runs: no bystander rides along.
         assert session.metrics.value("faults.worker_crashes") == 1
-        assert session.metrics.value("faults.retries") >= 1
+        assert session.metrics.value("faults.retries") == 1
 
     def test_persistent_crash_quarantines_only_target(self, clean_verdicts):
-        # A function that kills every worker that touches it trips the
-        # circuit breaker: it alone degrades to WORKER_CRASHED, everyone
-        # else's verdict is byte-identical to the clean run.
+        # A function that kills every worker that touches it runs twice
+        # (first attempt plus one re-run) and then alone degrades to
+        # WORKER_CRASHED; everyone else's verdict is byte-identical to the
+        # clean run, and every function finished in a worker — none fell
+        # back to the parent, which would warn.
         plan = _plan(faults.FaultSpec(site="scheduler.worker", kind="crash", match="f2"))
-        with faults.inject_faults(plan):
-            report, session = _verify(CRATE, jobs=2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with faults.inject_faults(plan):
+                report, session = _verify(CRATE, jobs=2)
         verdicts = _by_name(report)
         assert verdicts["f2"].status != "ok"
         assert verdicts["f2"].tags == ("worker-crashed",)
         for name, clean in clean_verdicts.items():
             if name != "f2":
                 assert verdicts[name] == clean
-        assert session.metrics.value("faults.pool_rebuilds") == 1  # at most once
-        assert session.metrics.value("faults.breaker_trips") == 1
+        assert session.metrics.value("faults.worker_crashes") == 2
+        assert session.metrics.value("faults.retries") == 1
+
+    def test_workers_inherit_the_elaborated_program(self, tmp_path, monkeypatch):
+        # Workers fork after the parent elaborated the program: only the
+        # parent may ever build a GlobalEnv from it.
+        log = tmp_path / "register_program.pids"
+        original = GlobalEnv.register_program
+
+        def logged(genv, program):
+            with open(log, "a", encoding="ascii") as handle:
+                handle.write(f"{os.getpid()}\n")
+            return original(genv, program)
+
+        monkeypatch.setattr(GlobalEnv, "register_program", logged)
+        report, _ = _verify(CRATE, jobs=2)
+        assert len(report.functions) == 5
+        assert set(log.read_text().split()) == {str(os.getpid())}
+
+    def test_ctrl_c_mid_run_leaves_no_worker_behind(self):
+        # KeyboardInterrupt reaches the parent while both workers hang in
+        # an injected fault; the parent must kill them before re-raising.
+        baseline = tuple(faults.live_children())
+        running = []
+
+        def interrupt(signum, frame):
+            running.extend(pid for pid in faults.live_children() if pid not in baseline)
+            raise KeyboardInterrupt
+
+        plan = _plan(faults.FaultSpec(site="scheduler.worker", kind="hang", delay=30.0))
+        previous = signal.signal(signal.SIGALRM, interrupt)
+        try:
+            with faults.inject_faults(plan):
+                signal.setitimer(signal.ITIMER_REAL, 1.0)
+                with pytest.raises(KeyboardInterrupt):
+                    _verify(CRATE, jobs=2)
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            signal.signal(signal.SIGALRM, previous)
+        assert len(running) == 2  # the interrupt landed mid-run
+        multiprocessing.active_children()
+        assert [pid for pid in faults.live_children() if pid not in baseline] == []
 
     @pytest.mark.parametrize(
         "kind,tag",

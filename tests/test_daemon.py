@@ -17,7 +17,7 @@ from repro.daemon.queue import JobQueue
 from repro.daemon.quotas import QuotaExceeded, TenantQuotas
 from repro.daemon.testing import run_daemon
 from repro.daemon.workers import WorkerPool
-from repro.service.cli import main as cli_main
+from repro.service.cli import build_serve_parser, main as cli_main
 
 INC = """
 #[flux::sig(fn(i32[@x]) -> i32{v: v > x})]
@@ -86,6 +86,16 @@ class TestProtocol:
         assert payload == {
             "error": {"kind": "TIMEOUT", "message": "too slow", "detail": {"job": "job-1"}}
         }
+
+
+class TestServeOptions:
+    def test_workers_below_one_is_a_usage_error(self, capsys):
+        # A daemon without workers would admit jobs and never run them.
+        with pytest.raises(SystemExit) as excinfo:
+            build_serve_parser().parse_args(["--workers", "0"])
+        assert excinfo.value.code == 2
+        assert "--workers" in capsys.readouterr().err
+        assert build_serve_parser().parse_args(["--workers", "2"]).workers == 2
 
 
 class TestQuotas:
@@ -306,6 +316,33 @@ class TestDaemonEndToEnd:
             exposition = client.metrics(daemon.url)
             assert "repro_daemon_sessions_retired_total 1" in exposition
             assert "repro_daemon_jobs_retried_total 1" in exposition
+
+    def test_job_status_reports_attempts_and_worker_pid(self):
+        # The worker dies on the job's first attempt; GET /jobs/<id> then
+        # shows the re-run and the replacement worker that produced the
+        # outcome (the daemon runs in this process, so its workers are
+        # this process's children).
+        plan = _plan(
+            faults.FaultSpec(site="daemon.job", kind="crash", match="flaky", attempts=1)
+        )
+        with faults.inject_faults(plan), run_daemon() as daemon:
+            before = set(faults.live_children())
+            record = client.wait(daemon.url, client.submit(daemon.url, INC, name="flaky"))
+            after = set(faults.live_children())
+        assert record["state"] == "done"
+        assert record["attempts"] == 2
+        assert [record["worker_pid"]] == sorted(after - before)
+
+    def test_session_jobs_fork_workers_inside_a_daemon_worker(self):
+        # --session-jobs 2: each job's scheduler forks workers of its own
+        # from inside the daemon's worker process, and reaps them.
+        two = INC + INC.replace("fn inc", "fn inc2")
+        baseline = set(faults.live_children())
+        with run_daemon(session_jobs=2) as daemon:
+            record = client.verify(daemon.url, two, name="two")
+        assert record["state"] == "done"
+        assert [fn["status"] for fn in record["report"]["functions"]] == ["ok", "ok"]
+        assert set(faults.live_children()) <= baseline
 
     def test_worker_pool_has_one_session_each(self):
         with run_daemon(workers=2) as daemon:

@@ -1,6 +1,6 @@
 """The fault layer itself: plans, injection semantics, deadlines, memory
-ceilings, the circuit breaker, process reaping, the cache tmp sweep, and
-the CLI's SIGINT exit code."""
+ceilings, the shared worker process, process reaping, the cache tmp sweep,
+and the CLI's SIGINT exit code."""
 
 import json
 import multiprocessing
@@ -12,6 +12,7 @@ import time
 import pytest
 
 from repro import faults
+from repro.faults import procs
 from repro.service.cache import ResultCache
 from repro.service.session import VerifySession
 
@@ -224,21 +225,86 @@ class TestLimits:
 
 
 # ---------------------------------------------------------------------------
-# Circuit breaker and process reaping
+# The shared worker and process reaping
 # ---------------------------------------------------------------------------
 
 
+def _echo_server():
+    """A worker factory whose serve function doubles its request, hangs on
+    "hang" and fires any planned ``test.worker`` fault keyed by the request."""
+
+    def serve(request):
+        if request == "hang":
+            time.sleep(30)
+        faults.inject("test.worker", key=str(request))
+        return request * 2
+
+    return serve
+
+
+class TestWorker:
+    def test_worker_round_trip_and_crash(self):
+        plan = _plan(faults.FaultSpec(site="test.worker", kind="crash", match="die"))
+        baseline = tuple(faults.live_children())
+        with faults.inject_faults(plan):
+            worker = faults.Worker(_echo_server)
+        try:
+            worker.send(21)
+            assert worker.receive() == ("ok", 42)
+            # The child is a marked worker, so the crash really SIGKILLs it,
+            # and the closed pipe pins the death on this one request.
+            worker.send("die")
+            assert worker.receive() == ("crashed", None)
+        finally:
+            worker.kill()
+        multiprocessing.active_children()
+        assert [pid for pid in faults.live_children() if pid not in baseline] == []
+
+    def test_worker_passes_the_attempt_to_the_child(self):
+        plan = _plan(
+            faults.FaultSpec(site="test.worker", kind="crash", match="flaky", attempts=1)
+        )
+        with faults.inject_faults(plan):
+            first, second = faults.Worker(_echo_server), faults.Worker(_echo_server)
+        try:
+            first.send("flaky", attempt=1)
+            assert first.receive() == ("crashed", None)
+            second.send("flaky", attempt=2)
+            assert second.receive() == ("ok", "flakyflaky")
+        finally:
+            first.kill()
+            second.kill()
+
+    def test_worker_timeout_then_kill_reaps(self):
+        worker = faults.Worker(_echo_server)
+        pid = worker.pid
+        worker.send("hang")
+        assert worker.receive(timeout=0.2) == ("timeout", None)
+        worker.kill()
+        assert pid not in faults.live_children()
+
+    def test_worker_exits_when_the_parent_end_closes(self):
+        # The child closes its inherited copy of the parent's end, so a
+        # parent that goes away without a stop message still ends it.
+        worker = faults.Worker(_echo_server)
+        process = worker.process
+        worker.conn.close()
+        process.join(timeout=10)
+        assert process.exitcode == 0
+
+    def test_stop_ends_an_idle_worker_without_escalation(self):
+        worker = faults.Worker(_echo_server)
+        pid = worker.pid
+        started = time.monotonic()
+        worker.stop()
+        # The child honoured the stop message; it was not left to the
+        # grace period and the SIGTERM/SIGKILL escalation.
+        assert time.monotonic() - started < procs.STOP_GRACE_SECONDS
+        assert pid not in faults.live_children()
+
+
 class TestBreakerAndProcs:
-    def test_breaker_trips_at_threshold(self):
-        breaker = faults.CircuitBreaker(max_crashes=2)
-        assert breaker.record("f") == 1
-        assert not breaker.tripped("f")
-        assert breaker.record("f") == 2
-        assert breaker.tripped("f")
-        assert not breaker.tripped("innocent")
-        breaker.record("g")
-        breaker.record("g")
-        assert breaker.quarantined() == ("f", "g")
+    """Process reaping and the orphan audit."""
 
     def test_reap_process_joins_and_escalates(self):
         def stubborn():
