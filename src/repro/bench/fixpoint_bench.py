@@ -55,7 +55,7 @@ class StrategyOutcome:
     assumption_checks: int = 0
     incremental_hits: int = 0
     batched_checks: int = 0
-    #: ``smt.clauses_retained`` of the batch's registry (0 for ``naive``).
+    #: ``smt.clauses_retained`` of the batch's registry.
     clauses_retained: int = 0
     # function -> (solution as printable strings, sorted error descriptions)
     results: Dict[str, Tuple[Dict[str, str], Tuple[str, ...]]] = field(

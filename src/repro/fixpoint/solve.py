@@ -699,7 +699,10 @@ class FixpointSolver:
             except SmtError:
                 # Outside the incremental fragment (non-linear after
                 # substitution, sort clash, ...): permanently demote this
-                # clause to the one-shot path, which has its own handling.
+                # clause to the one-shot path, ``validity_answer``.  It
+                # simplifies each hypothesis before encoding, so one that
+                # folds to false still decides the query beside a
+                # non-linear one.
                 # The solver must not be reused either way: the failed
                 # encoding may have memoised rewrites whose side conditions
                 # it never asserted (see ``IncrementalSolver.literal_for``).

@@ -25,7 +25,7 @@ from repro.lang import LexError, ParseError, parse_program
 from repro.mir.typeinfer import ProgramTypes
 from repro.obs import span as obs_span
 from repro.service.cache import KeyTables, function_key
-from repro.service.scheduler import verify_functions
+from repro.service.scheduler import TOO_DEEP, verify_functions
 from repro.service.session import VerifySession
 
 
@@ -164,9 +164,26 @@ def verify_job(job: VerifyJob, session: VerifySession) -> JobReport:
     Runs with the session's SMT *and* observability contexts installed, so
     every phase below (and everything the scheduler runs serially) records
     into the session's registry, tracer and event log.
+
+    Each function is verified inside the scheduler's fault boundary, so a
+    ``RecursionError`` that gets here came from parsing, elaboration, the
+    dependency pass or the report; the job then fails with the error
+    :data:`TOO_DEEP`, which ``verify_source`` raises as a :class:`FluxError`.
     """
+    started = time.perf_counter()
+    hits_before, misses_before = session.cache.hits, session.cache.misses
     with session.activate():
-        return _verify_job_active(job, session)
+        try:
+            return _verify_job_active(job, session)
+        except RecursionError:
+            return JobReport(
+                name=job.name,
+                ok=False,
+                time=time.perf_counter() - started,
+                cache_hits=session.cache.hits - hits_before,
+                cache_misses=session.cache.misses - misses_before,
+                error=TOO_DEEP,
+            )
 
 
 def _verify_job_active(job: VerifyJob, session: VerifySession) -> JobReport:
@@ -294,9 +311,9 @@ def verify_jobs(
 def _smt_summary(snapshot: Dict[str, Dict[str, object]]) -> Dict[str, float]:
     """The report's ``"smt"`` block, read off a registry snapshot.
 
-    ``total_time`` is the ``smt.query_seconds`` sum: each check's search
-    (one-shot checks include their encoding; the incremental backend's goal
-    encoding happens before the check and is not counted).
+    ``total_time`` is the ``smt.query_seconds`` sum: each fresh check's
+    search, one-shot and incremental alike (a formula is encoded before its
+    check, outside that timer).
     """
 
     def value(name: str) -> float:

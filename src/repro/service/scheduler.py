@@ -19,8 +19,9 @@ topological order.
 
 Fault containment: serial and parallel runs verify every function through
 one boundary, :func:`_verify_contained`, which turns an overrun of the
-per-function deadline (SIGALRM, in the worker) and a ``MemoryError`` (the
-worker's ``RLIMIT_AS`` ceiling) into structured verdicts.  A worker that
+per-function deadline (SIGALRM, in the worker), a ``MemoryError`` (the
+worker's ``RLIMIT_AS`` ceiling) and a ``RecursionError`` (input nested
+deeper than the stack) into structured verdicts.  A worker that
 dies costs only the function it was running — its closed pipe names that
 function — which re-runs on a fresh worker up to
 :data:`repro.faults.CRASH_RETRIES` times and then gets a structured
@@ -51,6 +52,10 @@ from repro.smt import SmtContext
 ObsPayload = Dict[str, object]
 
 Results = Dict[str, Tuple[FunctionResult, Optional[ObsPayload]]]
+
+#: What a ``RecursionError`` means to the user: some recursive pass (parser,
+#: lowering, simplifier, encoder) met input nested deeper than the stack.
+TOO_DEEP = "input nests too deeply to verify"
 
 
 def _verify_contained(
@@ -89,6 +94,10 @@ def _verify_contained(
             RESOURCE_EXHAUSTED,
             "memory ceiling hit while verifying",
             elapsed=time.perf_counter() - started,
+        )
+    except RecursionError:
+        return fault_result(
+            name, RESOURCE_EXHAUSTED, TOO_DEEP, elapsed=time.perf_counter() - started
         )
 
 

@@ -10,7 +10,10 @@ Z3.  This package is the stand-in: a lazy DPLL(T) solver built from
   (:mod:`repro.smt.lia`), and
 * a preprocessing layer (if-then-else elimination, Ackermann expansion of
   uninterpreted functions), a memoised Tseitin encoder over interned
-  formulas, plus the lazy theory loop (:mod:`repro.smt.solver`).
+  formulas, plus the lazy theory loop (:mod:`repro.smt.solver`),
+
+driven by one entry, :class:`IncrementalSolver`; :func:`check_sat` answers
+one-shot queries on a throwaway one behind an answer cache.
 
 All queries generated by the Flux checker fall in this fragment; the
 Prusti-style baseline additionally needs universally quantified axioms,
@@ -22,7 +25,6 @@ from repro.smt.interface import (
     SmtContext,
     check_sat,
     current_context,
-    falsifying_model,
     is_satisfiable,
     is_valid,
     set_context,
@@ -41,7 +43,6 @@ __all__ = [
     "SmtError",
     "check_sat",
     "current_context",
-    "falsifying_model",
     "is_satisfiable",
     "is_valid",
     "set_context",

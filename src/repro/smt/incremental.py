@@ -1,10 +1,9 @@
 """Incremental SMT solving: persistent solver state across many checks.
 
-The one-shot pipeline (:func:`repro.smt.solver.solve_formula`) rebuilds the
-preprocessor, the atom table, the CNF and the whole DPLL(T) search for every
-query.  Liquid inference issues *bursts* of closely related queries — all
-qualifier checks for one clause share the exact same hypotheses — so an
-:class:`IncrementalSolver` keeps everything alive between checks:
+:class:`IncrementalSolver` is the one entry into the DPLL(T) stack.
+Liquid inference issues *bursts* of closely related queries — all
+qualifier checks for one clause share the exact same hypotheses — so a
+solver keeps everything alive between checks:
 
 * the preprocessor (if-then-else lifting, Ackermann expansion) and its
   application cache, with Ackermann axioms emitted incrementally as new
@@ -34,6 +33,10 @@ Soundness of retention rests on two facts: clauses are only ever *added*
 (popping a scope adds the selector's negation rather than deleting
 anything), and the SAT core analyses conflicts with assumptions on their own
 decision levels, so learned clauses never bake in an assumption.
+
+One-shot queries (:func:`repro.smt.check_sat` on an answer-cache miss) run
+on a throwaway solver: :func:`solve_formula` asserts the simplified query
+globally and checks it once.
 """
 
 from __future__ import annotations
@@ -91,6 +94,11 @@ class IncrementalSolver:
         max_theory_rounds: int = 5000,
         engine: Optional[str] = None,
     ) -> None:
+        if sys.getrecursionlimit() < 100000:
+            # The recursive passes (simplify, preprocessing, Tseitin
+            # encoding) need head-room: a conjunction of n hypotheses nests
+            # n deep, and instantiated baseline queries nest deeper still.
+            sys.setrecursionlimit(100000)
         self.sorts: Dict[str, Sort] = dict(sorts or {})
         self.max_theory_rounds = max_theory_rounds
         self.engine = engine  # None -> repro.smt.solver.DEFAULT_ENGINE
@@ -182,8 +190,6 @@ class IncrementalSolver:
         entry = memo.get(expr)
         if entry is not None:
             return entry[0]
-        if sys.getrecursionlimit() < 100000:
-            sys.setrecursionlimit(100000)
         if not self.sorts.keys() >= free_vars(expr):
             for name, sort in free_var_sorts(expr).items():
                 self.sorts.setdefault(name, sort)
@@ -210,9 +216,8 @@ class IncrementalSolver:
     def _new_ackermann_axioms(self) -> List[Expr]:
         """Ackermann congruence axioms for application pairs not yet covered.
 
-        The one-shot preprocessor emits all pairs at the end of its single
-        run; here new applications may appear with every assertion, so we
-        emit exactly the pairs involving an application first seen since the
+        New applications may appear with every assertion, so this emits
+        exactly the pairs involving an application first seen since the
         previous assertion.
         """
         apps = self._pre._apps_seen
@@ -293,7 +298,9 @@ class IncrementalSolver:
             return None
         return dict(answer.model)
 
-    def _check(self, assumptions: List[int], relevant_atoms: frozenset) -> SolverAnswer:
+    def _check(
+        self, assumptions: List[int], relevant_atoms: frozenset, source: str = "incremental"
+    ) -> SolverAnswer:
         started = time.perf_counter()
         clauses_before = self._sat.num_clauses
         int_vars = {name for name, sort in self.sorts.items() if sort in (INT, BOOL)}
@@ -314,5 +321,23 @@ class IncrementalSolver:
         )
         elapsed = time.perf_counter() - started
         answer.stats.clauses_retained = self._sat.num_clauses - clauses_before
-        record_check_metrics(answer, elapsed, source="incremental")
+        record_check_metrics(answer, elapsed, source=source)
         return answer
+
+
+def solve_formula(
+    expr: Expr, sorts: Optional[Dict[str, Sort]] = None, engine: Optional[str] = None
+) -> SolverAnswer:
+    """Check satisfiability of a quantifier-free formula on a throwaway
+    :class:`IncrementalSolver`, recorded as one ``oneshot`` check.
+
+    The whole query is simplified before anything is encoded, which decides
+    it when a conjunct folds to false: :meth:`IncrementalSolver.assert_expr`
+    encodes conjuncts one at a time, so ``0 > 1 && x*y >= 0`` would raise
+    :class:`SmtError` on its non-linear conjunct instead of answering UNSAT.
+    The solver is built first because building it raises the recursion limit
+    that simplifying a long conjunction needs.
+    """
+    solver = IncrementalSolver(sorts, engine=engine)
+    solver.assert_expr(simplify(expr))
+    return solver._check([], frozenset(), source="oneshot")

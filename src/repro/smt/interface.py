@@ -8,6 +8,19 @@ Two queries matter:
   which keeps verification sound (a program is only accepted when every
   obligation is proved).
 
+Both go through :func:`check_sat`, an answer-cached front of the one
+solver stack: a miss solves the query on a throwaway
+:class:`~repro.smt.IncrementalSolver`, and a hit replays the cached answer.
+
+>>> from repro.logic.expr import Var, ge
+>>> x = Var("x")
+>>> context = SmtContext()
+>>> with use_context(context):
+...     [is_valid([ge(x, 5)], ge(x, 0)) for _ in range(2)]  # x >= 5 |= x >= 0
+[True, True]
+>>> context.cache.misses, context.cache.hits  # one solve, then one replay
+(1, 1)
+
 Quantified hypotheses (baseline only) are instantiated by
 :mod:`repro.smt.quant`; quantified goals are skolemised by stripping the
 top-level binders into fresh constants.
@@ -16,7 +29,6 @@ top-level binders into fresh constants.
 from __future__ import annotations
 
 import itertools
-import time
 from collections import OrderedDict
 from contextlib import contextmanager
 from contextvars import ContextVar
@@ -36,10 +48,10 @@ from repro.logic.simplify import simplify
 from repro.logic.sorts import Sort
 from repro.logic.subst import substitute
 from repro.obs import current_obs, span as obs_span
+from repro.smt.incremental import solve_formula
 from repro.smt.metrics_bridge import record_check_metrics
 from repro.smt.quant import has_quantifier, instantiate
 from repro.smt.result import SolverAnswer
-from repro.smt.solver import solve_formula
 
 
 _ANSWER_CACHE_LIMIT = 50000
@@ -129,23 +141,20 @@ def use_context(context: Optional[SmtContext]) -> Iterator[SmtContext]:
 def check_sat(expr: Expr, sorts: Optional[Dict[str, Sort]] = None) -> SolverAnswer:
     """Satisfiability of a quantifier-free formula, memoised per context.
 
-    Every call — cache hit or miss — emits its answer's typed per-check
-    statistics into the observability registry.  Hits replay the cached
-    answer's record (the counts a fresh deterministic solve would produce)
-    but add no time, so merged counter totals stay independent of cache-hit
+    A miss runs :func:`~repro.smt.incremental.solve_formula`, which records
+    the fresh check.  A hit replays the cached answer's typed per-check
+    statistics (the counts a fresh deterministic solve would produce) but
+    adds no time, so merged counter totals stay independent of cache-hit
     patterns.
     """
     context = _CONTEXT_VAR.get()
     key = (expr, tuple(sorted((sorts or {}).items(), key=lambda kv: kv[0])))
     cached = context.cache.get(key)
     if cached is not None:
-        record_check_metrics(cached, None, source="oneshot")
+        record_check_metrics(cached, None)
         return cached
-    started = time.perf_counter()
     with obs_span("smt.query"):
         answer = solve_formula(expr, sorts)
-    elapsed = time.perf_counter() - started
-    record_check_metrics(answer, elapsed, source="oneshot")
     context.cache.put(key, answer)
     return answer
 
@@ -244,23 +253,3 @@ def is_valid(
     answers count as failures so verification stays sound.
     """
     return validity_answer(hypotheses, goal, sorts, quantifier_rounds).is_unsat
-
-
-def falsifying_model(
-    hypotheses: Iterable[Expr],
-    goal: Expr,
-    sorts: Optional[Dict[str, Sort]] = None,
-    quantifier_rounds: int = 2,
-) -> Optional[Dict[str, object]]:
-    """A concrete counterexample to ``hypotheses |= goal``, if one exists.
-
-    The ``get_model()`` face of the DPLL(T) stack, a convenience wrapper
-    over :func:`validity_answer`; returns ``None`` when the judgement is
-    valid (or the solver answered *unknown*).  Callers that already ran the
-    validity check should prefer :func:`validity_answer` and read verdict
-    and model off the one answer.
-    """
-    answer = validity_answer(hypotheses, goal, sorts, quantifier_rounds)
-    if not answer.is_sat or answer.model is None:
-        return None
-    return dict(answer.model)

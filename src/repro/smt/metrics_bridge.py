@@ -1,7 +1,8 @@
 """Bridge from per-check solver statistics to the observability layer.
 
-Every satisfiability check — one-shot (``repro.smt.check_sat``) or
-incremental (:meth:`repro.smt.IncrementalSolver._check`) — funnels its typed
+Every fresh satisfiability check (:meth:`repro.smt.IncrementalSolver._check`,
+one-shot checks on a throwaway solver included) and every answer-cache
+replay (``repro.smt.check_sat``) funnels its typed
 :class:`~repro.smt.result.CheckStats` through :func:`record_check_metrics`,
 which increments the current :class:`repro.obs.MetricsRegistry` and, when
 the structured event log is on, appends one ``smt_check`` record.  This is
@@ -44,7 +45,7 @@ _COUNTER_FIELDS = (
     ("explanations", "theory conflict explanations"),
     ("explanation_literals", "total literals across conflict explanations"),
     ("simplex_pivots", "simplex pivot operations"),
-    ("clauses_retained", "clauses added to a persistent SAT core, surviving pop()"),
+    ("clauses_retained", "clauses a check added to its solver's SAT core, surviving pop()"),
 )
 
 #: ``CheckStats`` time fields mirrored into ``smt.<name>`` counters by fresh
@@ -63,8 +64,9 @@ def record_check_metrics(
     ``elapsed`` is the caller-observed wall time of a fresh check, or
     ``None`` for an answer-cache replay.  A replay re-emits every count and
     observes 0.0 latency, so count columns stay replay-invariant, but adds
-    nothing to the time counters.  ``source`` distinguishes the one-shot
-    pipeline from the incremental backend in the query counters.
+    nothing to the time counters.  ``source`` distinguishes one-shot
+    checks (the answer-cached front) from incremental ones in the query
+    counters.
     """
     obs = current_obs()
     registry = obs.registry

@@ -50,9 +50,10 @@ class CheckStats:
     explanations: int = 0
     explanation_literals: int = 0
     simplex_pivots: int = 0
-    #: Clauses this check added to a persistent SAT core (learned clauses
+    #: Clauses this check added to its solver's SAT core (learned clauses
     #: and theory lemmas, which survive ``pop()``); filled by
-    #: :class:`repro.smt.IncrementalSolver`, 0 for one-shot checks.
+    #: :class:`repro.smt.IncrementalSolver` for every check, one-shot
+    #: checks on their throwaway solver included.
     clauses_retained: int = 0
     sat_time: float = 0.0
     theory_time: float = 0.0

@@ -1,21 +1,25 @@
-"""Lazy DPLL(T) solver for quantifier-free formulas.
+"""Lazy DPLL(T) building blocks for quantifier-free formulas.
 
-Pipeline (:func:`solve_formula`):
+:class:`repro.smt.IncrementalSolver` is the one entry into this stack; it
+strings the pieces below together:
 
-1. *Preprocessing* — if-then-else lifting, Ackermann expansion of
-   uninterpreted function applications, elimination of numeric equalities and
-   disequalities into inequalities, boolean-equality normalisation.
-2. *Propositional abstraction* — every linear-arithmetic atom becomes a SAT
-   variable and every other formula node one Tseitin literal (``&&``/``||``
-   chains as single n-ary nodes), memoised per interned node.
-3. *Lazy theory loop* — each propositional model is checked for
-   theory-consistency with the LIA solver; conflicts come back as small
-   explanations which become blocking clauses.
+1. *Preprocessing* (:class:`_Preprocessor`) — if-then-else lifting,
+   Ackermann expansion of uninterpreted function applications, elimination
+   of numeric equalities and disequalities into inequalities,
+   boolean-equality normalisation.
+2. *Propositional abstraction* (:class:`_Atomizer`) — every
+   linear-arithmetic atom becomes a SAT variable and every other formula
+   node one Tseitin literal (``&&``/``||`` chains as single n-ary nodes),
+   memoised per interned node.
+3. *Theory loop* (:func:`run_theory_loop`) — the CDCL search checks its
+   assignments for theory-consistency with the LIA solver; conflicts come
+   back as small explanations which become clauses.
 """
 
 from __future__ import annotations
 
 import itertools
+import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
@@ -38,15 +42,12 @@ from repro.logic.expr import (
     UnaryOp,
     Var,
     and_,
-    conjuncts_of,
     eq,
     implies,
     not_,
     or_,
 )
-from repro.logic.simplify import simplify
 from repro.logic.sorts import BOOL, INT, REAL, Sort
-from repro.logic.subst import free_var_sorts, free_vars
 from repro.smt.atoms import (
     AtomError,
     LinearAtom,
@@ -58,6 +59,7 @@ from repro.smt.lia import check_lia
 from repro.smt.result import CheckStats, SatResult, SolverAnswer
 from repro.smt.sat import SatSolver
 from repro.smt.simplex import Constraint
+from repro.smt.theory import TheorySolver, TheoryUnknown, constraint_satisfied
 
 
 class SmtError(Exception):
@@ -74,10 +76,9 @@ class _Preprocessor:
     """Rewrites a formula into the skeleton-over-linear-atoms fragment.
 
     Both rewrites are memoised per preprocessor, so an ``Ite`` term gets one
-    fresh variable however often it is met.  That is sound because a
-    preprocessor's side conditions are always asserted: the one-shot
-    pipeline folds them into its single query, and the incremental backend
-    asserts them permanently.
+    fresh variable however often it is met.  That is sound because the
+    incremental backend asserts a preprocessor's side conditions
+    permanently.
     """
 
     sorts: Dict[str, Sort]
@@ -93,21 +94,6 @@ class _Preprocessor:
         name = f"__{hint}{self._fresh}"
         self.sorts[name] = sort
         return Var(name, sort)
-
-    # -- entry point ----------------------------------------------------------
-
-    def run(self, expr: Expr) -> Expr:
-        parts = [self.rewrite_bool(expr)]
-        # If-then-else definitions are produced in the surface syntax, so they
-        # must themselves be rewritten; rewriting them may produce further
-        # side conditions, hence the loop.  Ackermann axioms are emitted last,
-        # already in the equality-free form, once every application is known.
-        while self.side_conditions:
-            batch, self.side_conditions = self.side_conditions, []
-            for condition in batch:
-                parts.append(self.rewrite_bool(condition))
-        parts.extend(self._ackermann_axioms())
-        return and_(*parts)
 
     # -- boolean layer ---------------------------------------------------------
 
@@ -227,7 +213,7 @@ class _Preprocessor:
             return BOOL
         raise SmtError(f"cannot determine the sort of {expr}")
 
-    # -- incremental-friendly entry points ---------------------------------------
+    # -- entry point ----------------------------------------------------------
 
     def rewrite_split(self, expr: Expr) -> Tuple[Expr, List[Expr]]:
         """Rewrite ``expr`` and drain the side conditions it produced.
@@ -235,8 +221,7 @@ class _Preprocessor:
         Returns ``(main, side)`` where ``side`` holds the fully rewritten
         if-then-else definitions.  The incremental backend asserts the two
         parts differently (side conditions are global facts, the main part
-        is scoped), hence the split; :meth:`run` folds everything into one
-        conjunction for the one-shot pipeline.
+        is scoped), hence the split.
         """
         main = self.rewrite_bool(expr)
         side: List[Expr] = []
@@ -259,20 +244,11 @@ class _Preprocessor:
         self._apps_seen.append((normalised, result))
         return result
 
-    def _ackermann_axioms(self) -> List[Expr]:
-        return ackermann_axioms(self._apps_seen)
 
-
-def ackermann_axioms(
-    apps_seen: List[Tuple[App, Var]], start: int = 0
-) -> List[Expr]:
-    """Congruence axioms for same-function application pairs.
-
-    With ``start`` = 0 every pair is covered (the one-shot pipeline, which
-    sees all applications before emitting axioms); the incremental backend
-    passes the count of already-covered applications so only pairs involving
-    a *new* application are emitted.
-    """
+def ackermann_axioms(apps_seen: List[Tuple[App, Var]], start: int) -> List[Expr]:
+    """Congruence axioms for the same-function application pairs that
+    involve an application at index ``start`` or later, the ones not yet
+    covered by earlier axioms."""
     axioms: List[Expr] = []
     for index in range(max(start, 1), len(apps_seen)):
         app_b, var_b = apps_seen[index]
@@ -422,10 +398,6 @@ def _negate_atom(atom: LinearAtom) -> LinearAtom:
         raise SmtError(str(error)) from error
 
 
-def _atom_to_constraint(atom: LinearAtom) -> Constraint:
-    return atom_constraint(atom)
-
-
 DEFAULT_ENGINE = "online"
 """SAT↔theory integration used when callers do not pick one explicitly.
 
@@ -442,20 +414,19 @@ def run_theory_loop(
     atomizer: _Atomizer,
     int_vars: Set[str],
     max_theory_rounds: int,
-    assumptions: Sequence[int] = (),
-    active_atoms: Optional[Set[int]] = None,
-    theory: Optional["TheorySolver"] = None,
+    assumptions: Sequence[int],
+    active_atoms: Set[int],
+    theory: TheorySolver,
     engine: Optional[str] = None,
 ) -> SolverAnswer:
-    """Run one satisfiability check through the SAT↔theory interface.
+    """Run one satisfiability check of an :class:`repro.smt.IncrementalSolver`
+    through the SAT↔theory interface.
 
-    Shared by the one-shot pipeline and :class:`repro.smt.IncrementalSolver`.
-    ``active_atoms``, when given, restricts theory reasoning to that subset
-    of atom variables — the incremental backend passes the atoms of the
-    formulas currently in force so retired state never reaches the simplex.
-    ``theory`` lets the incremental backend keep one persistent
+    ``active_atoms`` restricts theory reasoning to the atom variables of the
+    formulas currently in force, so retired state never reaches the simplex.
+    ``theory`` is the solver's persistent
     :class:`~repro.smt.theory.TheorySolver` (tableau, slack rows, bound
-    conversions) across checks.  Learned clauses and theory lemmas are
+    conversions), kept across checks.  Learned clauses and theory lemmas are
     consequences of the clause database alone (assumptions live on their own
     decision levels), so retaining them permanently is sound.
     """
@@ -477,16 +448,10 @@ def _run_online(
     int_vars: Set[str],
     max_theory_rounds: int,
     assumptions: Sequence[int],
-    active_atoms: Optional[Set[int]],
-    theory: Optional["TheorySolver"],
+    active_atoms: Set[int],
+    theory: TheorySolver,
 ) -> SolverAnswer:
     """Online DPLL(T): one CDCL search with the theory solver inside it."""
-    import time
-
-    from repro.smt.theory import TheorySolver, TheoryUnknown
-
-    if theory is None:
-        theory = TheorySolver(atomizer.atom_of_var)
     # The clock starts before ``begin_check``: ``finish_check`` charges its
     # time to ``theory_time``, which is subtracted from the total below.
     started = time.perf_counter()
@@ -528,13 +493,11 @@ def _run_offline(
     int_vars: Set[str],
     max_theory_rounds: int,
     assumptions: Sequence[int],
-    active_atoms: Optional[Set[int]],
+    active_atoms: Set[int],
 ) -> SolverAnswer:
     """The historical lazy loop: complete models, full-set checks, blocking
     clauses.  Kept verbatim as the oracle the online engine is differentially
     tested against."""
-    import time
-
     stats = CheckStats(engine="offline")
     started = time.perf_counter()
     conflicts_at_start = sat.num_conflicts
@@ -552,14 +515,11 @@ def _run_offline(
 
     # The atom table is fixed for the duration of the loop (blocking clauses
     # only reuse existing variables), so the relevant items are computed once.
-    if active_atoms is None:
-        atom_items = list(atomizer.atom_of_var.items())
-    else:
-        atom_items = [
-            (var, atomizer.atom_of_var[var])
-            for var in sorted(active_atoms)
-            if var in atomizer.atom_of_var
-        ]
+    atom_items = [
+        (var, atomizer.atom_of_var[var])
+        for var in sorted(active_atoms)
+        if var in atomizer.atom_of_var
+    ]
     for _ in range(max_theory_rounds):
         assignment = sat.solve(assumptions)
         if assignment is None:
@@ -573,7 +533,7 @@ def _run_offline(
             if value is None:
                 continue
             chosen = atom if value else _negate_atom(atom)
-            constraints.append(_atom_to_constraint(chosen))
+            constraints.append(atom_constraint(chosen))
             constraint_literal.append(var if value else -var)
 
         if not constraints:
@@ -584,8 +544,6 @@ def _run_offline(
         if lia_result.status == "sat":
             theory_model = lia_result.model or {}
             if sat.verify_models:
-                from repro.smt.theory import constraint_satisfied
-
                 assert all(
                     constraint_satisfied(constraint, theory_model)
                     for constraint in constraints
@@ -606,51 +564,6 @@ def _run_offline(
     return SolverAnswer(
         SatResult.UNKNOWN, reason="theory-refinement round budget exhausted", stats=finish()
     )
-
-
-def solve_formula(
-    expr: Expr,
-    sorts: Optional[Dict[str, Sort]] = None,
-    max_theory_rounds: int = 5000,
-    engine: Optional[str] = None,
-) -> SolverAnswer:
-    """Check satisfiability of a quantifier-free formula."""
-    import sys
-
-    if sys.getrecursionlimit() < 100000:
-        # Instantiated baseline queries can nest conjunctions deeply; the
-        # recursive preprocessing passes need head-room.
-        sys.setrecursionlimit(100000)
-    sort_env: Dict[str, Sort] = dict(sorts or {})
-    # Sorts recorded on the variable occurrences beat the INT default: the
-    # baseline hands over obligations with bool-sorted fresh symbols and no
-    # explicit environment.
-    for name, sort in free_var_sorts(expr).items():
-        sort_env.setdefault(name, sort)
-    for name in free_vars(expr):
-        sort_env.setdefault(name, INT)
-
-    preprocessor = _Preprocessor(sorts=sort_env)
-    try:
-        prepared = simplify(preprocessor.run(expr))
-    except AtomError as error:
-        raise SmtError(str(error)) from error
-
-    if prepared == TRUE:
-        return SolverAnswer(SatResult.SAT, model={})
-    if prepared == FALSE:
-        return SolverAnswer(SatResult.UNSAT)
-
-    sat = SatSolver()
-    atomizer = _Atomizer(solver=sat, sorts=sort_env)
-    try:
-        for conjunct in conjuncts_of(prepared):
-            sat.add_clause([atomizer.encode(conjunct)[0]])
-    except AtomError as error:
-        raise SmtError(str(error)) from error
-
-    int_vars = {name for name, sort in sort_env.items() if sort in (INT, BOOL)}
-    return run_theory_loop(sat, atomizer, int_vars, max_theory_rounds, engine=engine)
 
 
 def _model_from_assignment(

@@ -2,6 +2,9 @@
 
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -470,6 +473,69 @@ class TestCli:
             for fn in job["functions"]
         ]
         assert strip(serial) == strip(parallel)
+
+
+# ---------------------------------------------------------------------------
+# Input nested deeper than the stack: a structured report, never a traceback
+# ---------------------------------------------------------------------------
+
+_SRC = str(Path(__file__).resolve().parent.parent / "src")
+
+#: (source, boundary): each input exhausts the stack in a different pass —
+#: the spec parser, the body parser, the simplifier, MIR lowering and the
+#: dependency walk.  ``job`` inputs fail before any function is verified.
+_DEEP_INPUTS = {
+    "spec-parens": (
+        "#[flux::sig(fn(i32[@x]) -> i32{v: " + "(" * 100 + "v > x" + ")" * 100 + "})]\n"
+        "fn f(x: i32) -> i32 { x + 1 }\n",
+        "job",
+    ),
+    "body-parens": (
+        "#[flux::sig(fn(i32[@x]) -> i32[x])]\n"
+        "fn f(x: i32) -> i32 { " + "(" * 120 + "x" + ")" * 120 + " }\n",
+        "job",
+    ),
+    "spec-sum": (
+        "#[flux::sig(fn(i32[@x]) -> i32{v: " + " + ".join(["v"] * 600) + " >= x})]\n"
+        "fn f(x: i32) -> i32 { x }\n",
+        "function",
+    ),
+    "body-sum": (
+        "#[flux::sig(fn(i32) -> i32)]\nfn f(x: i32) -> i32 { " + " + ".join(["x"] * 600) + " }\n",
+        "function",
+    ),
+    "body-sum-2000": (
+        "#[flux::sig(fn(i32) -> i32)]\nfn f(x: i32) -> i32 { " + " + ".join(["x"] * 2000) + " }\n",
+        "job",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_DEEP_INPUTS))
+def test_deep_input_gives_structured_report(tmp_path, name):
+    # A fresh interpreter each time: the recursion limit this process runs
+    # under depends on what it verified before.
+    source, boundary = _DEEP_INPUTS[name]
+    path = tmp_path / "deep.rs"
+    path.write_text(source)
+    proc = subprocess.run(
+        [sys.executable, "-m", "repro", "--no-cache", str(path)],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": _SRC},
+        timeout=120,
+    )
+    assert proc.returncode == 1, proc.stderr
+    assert "Traceback" not in proc.stderr
+    (job,) = json.loads(proc.stdout)["jobs"]
+    if boundary == "job":
+        assert job["error"] == "input nests too deeply to verify"
+        assert job["functions"] == []
+    else:
+        assert "error" not in job
+        (fn,) = job["functions"]
+        assert fn["status"] == "error"
+        assert [failure["tag"] for failure in fn["failures"]] == ["resource-exhausted"]
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,12 @@
 """Tests for the incremental SMT backend.
 
 The load-bearing property is *equivalence*: an :class:`IncrementalSolver`
-must agree with the one-shot pipeline (:func:`solve_formula` /
-:func:`is_valid`) on every query, no matter how much state it has retained
-from earlier checks.  The randomized differential tests below drive both
-backends over the same formulas; the directed tests pin down the stack
-discipline and the assumption handling of the SAT core.
+that has retained state from earlier checks must agree with a fresh
+solver on every query.  The randomized differential tests below compare it
+with the offline engine on a throwaway solver
+(``solve_formula(formula, engine="offline")``) and with :func:`is_valid`;
+the directed tests pin down the stack discipline and the assumption
+handling of the SAT core.
 """
 
 import random
@@ -29,8 +30,8 @@ from repro.logic.expr import (
 from repro.logic.sorts import BOOL, INT
 from repro.obs import ObsContext, use_obs
 from repro.smt import IncrementalSolver, SatResult, is_valid
+from repro.smt.incremental import solve_formula
 from repro.smt.sat import SatSolver
-from repro.smt.solver import solve_formula
 
 
 # -- random formula generator -------------------------------------------------
@@ -71,7 +72,7 @@ class TestRandomizedDifferential:
         rng = random.Random(20260729)
         for _ in range(80):
             formula = _random_formula(rng, depth=3)
-            expected = solve_formula(formula).result
+            expected = solve_formula(formula, engine="offline").result
             solver = IncrementalSolver()
             solver.push()
             solver.assert_expr(formula)

@@ -1,6 +1,10 @@
 """Tests for the lazy DPLL(T) solver and the validity interface."""
 
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -29,11 +33,14 @@ from repro.logic import (
 from repro.logic.expr import App, Ite, KVar
 from repro.obs import ObsContext, use_obs
 from repro.smt import SmtContext, check_sat, is_satisfiable, is_valid, use_context
-from repro.smt.solver import SmtError, solve_formula
+from repro.smt.incremental import solve_formula
+from repro.smt.solver import SmtError
 
 
 x, y, z = Var("x"), Var("y"), Var("z")
 b = Var("b", BOOL)
+
+_SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
 class TestSatisfiability:
@@ -108,6 +115,38 @@ class TestSatisfiability:
         with pytest.raises(SmtError):
             solve_formula(KVar("k0", (x,)))
 
+    def test_constant_false_beside_nonlinear_is_unsat(self):
+        # The whole query is simplified before any conjunct is encoded, so
+        # the false conjunct decides it; encoding ``x * y`` would raise.
+        false, nonlinear = gt(IntConst(0), IntConst(1)), ge(mul(x, y), 0)
+        with use_context(SmtContext()):
+            assert check_sat(and_(false, nonlinear)).is_unsat
+            # ``validity_answer`` simplifies each hypothesis on its own, but
+            # the instance ``0 > 5`` of the quantified one only appears
+            # after instantiation, inside the whole query.
+            above_five = Forall((("i", INT),), gt(Var("i"), 5))
+            assert is_valid([above_five, nonlinear], lt(x, 0))
+
+    def test_long_conjunction_in_fresh_process(self):
+        # A conjunction of n hypotheses nests n deep.  In a fresh
+        # interpreter (recursion limit 1000) nothing has raised the limit
+        # yet, so the one-shot path must raise it before simplifying.
+        script = (
+            "from repro.logic import Var, ge, gt\n"
+            "from repro.smt import is_valid\n"
+            "hyps = [gt(Var(f'x{i}'), i) for i in range(500)]\n"
+            "print(is_valid(hyps, ge(Var('x0'), 0)))\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": _SRC},
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "True"
+
     def test_model_satisfies_atoms(self):
         formula = and_(ge(x, 3), le(add(x, y), 10), ge(y, 2))
         answer = check_sat(formula)
@@ -172,11 +211,15 @@ class TestValidity:
         assert is_valid([gt(x, 0), lt(x, 0)], FALSE)
 
     def test_stats_recorded(self):
+        # A miss runs on a throwaway incremental solver but is recorded
+        # once, as a one-shot check.
         obs = ObsContext.create()
-        with use_obs(obs):
+        with use_obs(obs), use_context(SmtContext()):
             is_valid([gt(x, 0)], ge(x, 1))
-        assert obs.registry.value("smt.queries.oneshot") >= 1
-        assert obs.registry.value("smt.result.unsat") >= 1
+        assert obs.registry.value("smt.queries.oneshot") == 1
+        assert obs.registry.value("smt.queries.incremental") == 0
+        assert obs.registry.value("smt.query_seconds") == 1
+        assert obs.registry.value("smt.result.unsat") == 1
 
     def test_replay_counts_work_but_not_time(self):
         """A second ``check_sat`` of one formula replays the answer cache:

@@ -32,10 +32,10 @@ from repro.logic.sorts import INT
 from repro.obs import ObsContext, use_obs
 from repro.smt import IncrementalSolver, SatResult, check_sat
 from repro.smt.atoms import LinearAtom, LinTerm, atom_constraint
+from repro.smt.incremental import solve_formula
 from repro.smt.lia import check_lia
 from repro.smt.sat import SatSolver
 from repro.smt.simplex import BacktrackableSimplex, DeltaRational, _row_items
-from repro.smt.solver import solve_formula
 from repro.smt.theory import TheorySolver, TheoryUnknown
 
 
