@@ -8,8 +8,7 @@ The speedup claims in the README/benchmarks are reproducible with::
 which runs the full pipeline (parse -> elaborate -> lower -> check ->
 liquid fixpoint) under ``cProfile`` and prints the top-N functions by
 cumulative and by internal time, the run's full metrics-registry snapshot
-(see ``docs/observability.md``), the term-layer cache statistics and the
-int-vs-Fraction arithmetic path counts.
+(see ``docs/observability.md``) and the term-layer cache statistics.
 
 Use ``--no-profile`` for a plain wall-clock measurement (cProfile roughly
 triples the runtime of this workload — never compare a profiled number
@@ -36,7 +35,6 @@ from repro.bench.fixpoint_bench import run_program_metrics, table1_programs  # n
 from repro.logic import term_cache_stats  # noqa: E402
 from repro.obs import ObsContext  # noqa: E402
 from repro.obs.report import render_snapshot  # noqa: E402
-from repro.smt.atoms import numeric_path_counts  # noqa: E402
 
 
 def profile_program(
@@ -94,8 +92,6 @@ def profile_program(
 
     sections.append("\n== term-layer caches ==")
     sections.append(json.dumps(term_cache_stats(), indent=2, sort_keys=True))
-    sections.append("\n== arithmetic paths (int fast path vs Fraction fallback) ==")
-    sections.append(json.dumps(numeric_path_counts(), indent=2, sort_keys=True))
 
     if profiler is not None:
         for sort_key in sort_keys:

@@ -21,7 +21,6 @@ from typing import Dict, List, Optional, Tuple
 from repro.bench.programs import BenchmarkProgram, benchmark_programs
 from repro.core import verify_source
 from repro.logic import term_cache_stats
-from repro.smt.atoms import numeric_path_counts
 from repro.core.checker import Checker
 from repro.core.errors import FluxError
 from repro.core.genv import GlobalEnv
@@ -136,14 +135,6 @@ _TERM_DELTA_KEYS = (
     "simplify_cache_hits",
     "simplify_cache_misses",
 )
-_PATH_DELTA_KEYS = ("int_atoms", "fraction_atoms", "int_divisions", "fraction_divisions")
-
-
-def term_metric_snapshot() -> Dict[str, int]:
-    """Snapshot of the process-global term-layer/arithmetic counters."""
-    snapshot = dict(term_cache_stats())
-    snapshot.update(numeric_path_counts())
-    return snapshot
 
 
 def side_metric_deltas(before: Dict[str, int]) -> Dict[str, int]:
@@ -154,10 +145,8 @@ def side_metric_deltas(before: Dict[str, int]) -> Dict[str, int]:
     run; ``intern_table_size`` reports the absolute size, which is what a
     capacity dashboard wants.
     """
-    now = term_metric_snapshot()
-    deltas = {
-        key: now[key] - before.get(key, 0) for key in _TERM_DELTA_KEYS + _PATH_DELTA_KEYS
-    }
+    now = term_cache_stats()
+    deltas = {key: now[key] - before.get(key, 0) for key in _TERM_DELTA_KEYS}
     deltas["intern_table_size"] = now["intern_table_size"]
     return deltas
 
@@ -210,7 +199,7 @@ def run_program_metrics(
     """
     if obs is None:
         obs = ObsContext.create()
-    before = term_metric_snapshot()
+    before = term_cache_stats()
     started = time.perf_counter()
     try:
         with use_obs(obs), use_context(SmtContext()):

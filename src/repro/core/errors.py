@@ -19,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple, Union
 
+from repro.fixpoint.solve import FAULT_KINDS
 from repro.lang.span import Span
 
 
@@ -79,7 +80,8 @@ class Diagnostic:
     """A verification failure with provenance.
 
     ``tag`` identifies the failing obligation (e.g. ``call RVec::get arg 1``
-    or ``return``); ``function`` is the enclosing function.  ``span`` points
+    or ``return``), or names the execution fault that cost the verdict
+    (:attr:`is_fault`); ``function`` is the enclosing function.  ``span`` points
     at the surface expression that produced the obligation, ``sig_span`` at
     the ``#[flux::sig]`` attribute whose clause could not be satisfied, and
     ``counterexample`` carries the falsifying valuation when the solver
@@ -93,8 +95,17 @@ class Diagnostic:
     sig_span: Optional[Span] = None
     counterexample: Optional[Counterexample] = None
 
+    @property
+    def is_fault(self) -> bool:
+        """Whether a crash, a deadline or a resource ceiling cost the
+        verdict, rather than the solver refuting an obligation."""
+        return self.tag in FAULT_KINDS
+
     def __str__(self) -> str:
-        text = f"{self.function}: refinement error at {self.tag}"
+        if self.is_fault:
+            text = f"{self.function}: execution fault ({self.tag})"
+        else:
+            text = f"{self.function}: refinement error at {self.tag}"
         if self.span is not None:
             text += f" ({self.span})"
         if self.message:

@@ -22,7 +22,7 @@ from repro.mir.lower import lower_function
 from repro.mir.typeinfer import ProgramTypes, infer_types
 from repro.fixpoint import FixpointSolver
 from repro.fixpoint.constraint import c_conj
-from repro.fixpoint.solve import DEADLINE_EXCEEDED, RESOURCE_EXHAUSTED, WORKER_CRASHED
+from repro.fixpoint.solve import FAULT_KINDS
 from repro.core.checker import Checker
 from repro.core.errors import Counterexample, Diagnostic, FluxError
 from repro.core.genv import GlobalEnv
@@ -55,7 +55,7 @@ class FunctionResult:
 #: Such results are never cached (they say nothing about the program) and
 #: the chaos harness accepts them as the structured form of an injected
 #: fault.
-FAULT_TAGS = (WORKER_CRASHED, DEADLINE_EXCEEDED, RESOURCE_EXHAUSTED)
+FAULT_TAGS = FAULT_KINDS
 
 
 def fault_result(name: str, kind: str, detail: str = "", elapsed: float = 0.0) -> FunctionResult:
@@ -68,7 +68,7 @@ def fault_result(name: str, kind: str, detail: str = "", elapsed: float = 0.0) -
 def is_fault_result(result: "FunctionResult") -> bool:
     """Whether ``result`` reports an execution fault rather than a verdict."""
 
-    return any(diag.tag in FAULT_TAGS for diag in result.diagnostics)
+    return any(diag.is_fault for diag in result.diagnostics)
 
 
 @dataclass

@@ -18,7 +18,11 @@ renders as a caret snippet::
 
 The layout follows rustc: a primary span with ``^`` carets, an optional
 secondary span (the ``#[flux::sig]`` clause) with ``-`` underlines, and the
-counterexample valuation as a trailing note.
+counterexample valuation as a trailing note.  An execution fault (a crashed
+worker, a missed deadline, an exhausted resource) proves nothing about the
+program and says so::
+
+    error[fault]: `resource-exhausted` while verifying `f`: input nests too deeply to verify
 """
 
 from __future__ import annotations
@@ -70,7 +74,10 @@ def render_diagnostic(
     bar = f"{' ' * gutter} |"
 
     lines: List[str] = []
-    header = f"error[refinement]: cannot prove `{diagnostic.tag}` in `{diagnostic.function}`"
+    if diagnostic.is_fault:
+        header = f"error[fault]: `{diagnostic.tag}` while verifying `{diagnostic.function}`"
+    else:
+        header = f"error[refinement]: cannot prove `{diagnostic.tag}` in `{diagnostic.function}`"
     if diagnostic.message:
         header += f": {diagnostic.message}"
     lines.append(header)

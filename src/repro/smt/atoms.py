@@ -16,8 +16,7 @@ back to :class:`fractions.Fraction` only when a real constant or an inexact
 division enters the term.  ``int`` implements the ``numbers.Rational``
 attributes (``numerator``/``denominator``), so the two representations mix
 freely and compare/hash identically (``Fraction(1) == 1``); the simplex
-layer keeps the same convention.  :func:`numeric_path_counts` reports how
-often each representation was produced.
+layer keeps the same convention.
 """
 
 from __future__ import annotations
@@ -41,21 +40,6 @@ from repro.logic.sorts import BOOL, INT, REAL, Sort
 
 #: A rational scalar on the mixed int/Fraction fast path.
 Rational = Union[int, Fraction]
-
-_INT_ATOMS = 0
-_FRACTION_ATOMS = 0
-
-
-def numeric_path_counts() -> Dict[str, int]:
-    """How many normalised atoms stayed on the int fast path vs. fell back."""
-    from repro.smt import simplex
-
-    return {
-        "int_atoms": _INT_ATOMS,
-        "fraction_atoms": _FRACTION_ATOMS,
-        "int_divisions": simplex.INT_DIVISIONS,
-        "fraction_divisions": simplex.FRACTION_DIVISIONS,
-    }
 
 
 class AtomError(Exception):
@@ -221,14 +205,6 @@ def _vars_all_int(term: LinTerm, sorts: Dict[str, Sort]) -> bool:
     return all(sorts.get(name, INT) in (INT, BOOL) for name, _ in term.coeffs)
 
 
-def _count_path(term: LinTerm) -> None:
-    global _INT_ATOMS, _FRACTION_ATOMS
-    if type(term.const) is int and all(type(c) is int for _, c in term.coeffs):
-        _INT_ATOMS += 1
-    else:
-        _FRACTION_ATOMS += 1
-
-
 def normalize_comparison(op: str, lhs: Expr, rhs: Expr, sorts: Dict[str, Sort]) -> LinearAtom:
     """Normalise ``lhs <op> rhs`` into a single :class:`LinearAtom`.
 
@@ -241,21 +217,17 @@ def normalize_comparison(op: str, lhs: Expr, rhs: Expr, sorts: Dict[str, Sort]) 
         term = left.sub(right)
     elif op == "<":
         term = left.sub(right)
-        _count_path(term)
         return _strict(term, sorts)
     elif op == ">=":
         term = right.sub(left)
     elif op == ">":
         term = right.sub(left)
-        _count_path(term)
         return _strict(term, sorts)
     elif op == "=":
         term = left.sub(right)
-        _count_path(term)
         return LinearAtom(term, "=", _vars_all_int(term, sorts))
     else:
         raise AtomError(f"unsupported comparison {op!r}")
-    _count_path(term)
     return LinearAtom(term, "<=", _vars_all_int(term, sorts))
 
 

@@ -40,9 +40,6 @@ from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tupl
 
 Rational = Union[int, Fraction]
 
-INT_DIVISIONS = 0
-FRACTION_DIVISIONS = 0
-
 #: A sparse row converts to a dense coefficient list when it has at least
 #: this many nonzeros …
 DENSE_MIN_NNZ = 48
@@ -60,19 +57,14 @@ def exact_div(a: Rational, b: Rational) -> Rational:
     that come out integral are normalised back to ``int`` so one inexact step
     does not poison every later operation.
     """
-    global INT_DIVISIONS, FRACTION_DIVISIONS
     if type(a) is int and type(b) is int:
         quotient, remainder = divmod(a, b)
         if remainder == 0:
-            INT_DIVISIONS += 1
             return quotient
-        FRACTION_DIVISIONS += 1
         return Fraction(a, b)
     result = Fraction(a) / b
     if result.denominator == 1:
-        INT_DIVISIONS += 1
         return result.numerator
-    FRACTION_DIVISIONS += 1
     return result
 
 

@@ -538,6 +538,41 @@ def test_deep_input_gives_structured_report(tmp_path, name):
         assert [failure["tag"] for failure in fn["failures"]] == ["resource-exhausted"]
 
 
+def test_fault_verdict_is_not_rendered_as_a_refinement_error(tmp_path):
+    # The 600-term body costs ``f`` a resource-exhausted verdict: an
+    # execution fault, which refutes no obligation of the program.
+    path = tmp_path / "deep.rs"
+    path.write_text(_DEEP_INPUTS["body-sum"][0])
+
+    def run(*flags: str) -> str:
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro", "--no-cache", *flags, str(path)],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": _SRC},
+            timeout=120,
+        )
+        assert proc.returncode == 1, proc.stderr
+        return proc.stdout
+
+    (fn,) = json.loads(run())["jobs"][0]["functions"]
+    assert fn["diagnostics"] == [
+        "f: execution fault (resource-exhausted): input nests too deeply to verify"
+    ]
+    assert fn["failures"] == [
+        {
+            "function": "f",
+            "tag": "resource-exhausted",
+            "message": "input nests too deeply to verify",
+        }
+    ]
+    explained = run("--explain")
+    assert explained.splitlines()[0] == (
+        "error[fault]: `resource-exhausted` while verifying `f`: input nests too deeply to verify"
+    )
+    assert "cannot prove" not in explained and "refinement error" not in explained
+
+
 # ---------------------------------------------------------------------------
 # Bench integration: run_flux reports cache hits when given a session
 # ---------------------------------------------------------------------------
