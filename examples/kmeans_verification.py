@@ -5,8 +5,8 @@ Run with:  python examples/kmeans_verification.py
 """
 
 from repro.bench.programs import KMEANS_FLUX, KMEANS_PRUSTI
-from repro.core import verify_source
 from repro.prusti import verify_source_prusti
+from repro.service import verify_source
 
 
 def main() -> None:

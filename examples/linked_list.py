@@ -7,7 +7,7 @@ length reasoning.
 Run with:  python examples/linked_list.py
 """
 
-from repro.core import verify_source
+from repro.service import verify_source
 
 SOURCE = """
 #[flux::refined_by(len: int)]

@@ -3,7 +3,7 @@
 Run with:  python examples/quickstart.py
 """
 
-from repro.core import verify_source
+from repro.service import verify_source
 
 SOURCE = """
 // Indexed types: i32[n] is the singleton type of integers equal to n.

@@ -7,7 +7,7 @@ Run with:  python examples/wave_sandbox.py
 """
 
 from repro.bench.programs import WAVE_FLUX
-from repro.core import verify_source
+from repro.service import verify_source
 
 BUGGY_TRANSLATE = """
 #[flux::refined_by(base: int, size: int)]

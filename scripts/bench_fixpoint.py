@@ -14,6 +14,13 @@ baseline knows.  Refresh the baseline after an intentional change with:
 
     python scripts/bench_fixpoint.py --update-baseline
 
+Each program is verified through ``repro.service`` in a fresh, cache-less
+session, as ``python -m repro --no-cache`` and perfbench verify it.
+``elapsed`` is in scaled seconds: the time to verdict at perfbench's
+reference machine speed (``perfbench/speed.py``), so a baseline recorded
+on one machine gates runs on a faster or slower one.  It is the median of
+``REPEATS`` passes over the suite; the counts come from the first pass.
+
 Programs whose elaboration fails (a parse error, an unsupported fragment)
 are recorded with an ``error`` field and excluded from gating, so a broken
 benchmark never masks a perf regression elsewhere.
@@ -22,21 +29,31 @@ benchmark never masks a perf regression elsewhere.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
 import platform
+import statistics
 import sys
 from typing import Dict, List, Optional, Tuple
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(REPO_ROOT, "src"))
+sys.path.insert(0, REPO_ROOT)
 
+from perfbench.speed import ScaledClock  # noqa: E402
 from repro.bench.fixpoint_bench import run_program_metrics, table1_programs  # noqa: E402
-from repro.obs import MetricsRegistry, ObsContext, Tracer, to_prometheus  # noqa: E402
+from repro.core.rtypes import reset_fresh_names  # noqa: E402
+from repro.obs import MetricsRegistry, Tracer, to_prometheus  # noqa: E402
+from repro.service import VerifySession  # noqa: E402
 
 COUNT_METRICS = ("smt_queries", "from_scratch_solves")
-# Programs this fast are pure noise on the elapsed axis; gate their counts only.
-ELAPSED_FLOOR_SECONDS = 0.25
+# Programs this fast (in scaled seconds) are pure noise on the elapsed axis;
+# gate their counts only.
+ELAPSED_FLOOR_SECONDS = 0.1
+#: Passes over the suite; a program's ``elapsed`` is the median of its
+#: passes, which one run in a slow stretch of a shared machine cannot move.
+REPEATS = 9
 
 
 def run_suite(
@@ -44,35 +61,52 @@ def run_suite(
 ) -> Tuple[Dict[str, Dict[str, object]], MetricsRegistry, List[Dict[str, object]]]:
     """Run the suite; also return the merged registry and any trace spans.
 
-    Each program still runs under its own fresh ``ObsContext`` (so the
-    per-program metric blocks stay exact); the merged registry and the
-    concatenated span list are the whole-suite artifacts the CI lane
-    uploads (``--metrics-out`` / ``--trace-out``).
+    Each run verifies in its own fresh session (so the per-program metric
+    blocks stay exact); the first pass's registries, merged, and its spans
+    are the whole-suite artifacts the CI lane uploads (``--metrics-out`` /
+    ``--trace-out``).
     """
+    programs = table1_programs(names)
     per_program: Dict[str, Dict[str, object]] = {}
+    times: Dict[str, List[float]] = {program.name: [] for program in programs}
     merged = MetricsRegistry()
     spans: List[Dict[str, object]] = []
-    for program in table1_programs(names):
-        print(f"[bench] {program.name} ...", flush=True)
-        obs = ObsContext.create(trace=trace)
-        metrics = run_program_metrics(program, obs=obs)
-        merged.merge(obs.registry.snapshot())
-        spans.extend(obs.tracer.drain())
-        per_program[program.name] = metrics
-        if "error" in metrics:
-            print(f"[bench]   error: {metrics['error']}", flush=True)
-        else:
+    # Serial and in-process, with runs of several seconds: sample the
+    # machine's speed inside them too.
+    clock = ScaledClock(sample_inside=True)
+    for repeat in range(REPEATS):
+        for program in programs:
+            session = VerifySession(use_cache=False, trace=trace)
+            # Start each run from a fresh process's binder names, so that a
+            # repeat verifies the terms the first pass interned instead of
+            # new copies that make every later pass slower; and collect
+            # earlier runs' garbage outside the timed interval.
+            reset_fresh_names()
+            gc.collect()
+            metrics = clock.time(lambda: run_program_metrics(program, session))
+            times[program.name].append(clock.scaled[-1])
             print(
-                f"[bench]   elapsed={metrics['elapsed']:.2f}s"
-                f" queries={metrics['smt_queries']}"
-                f" from_scratch={metrics['from_scratch_solves']}"
-                f" incremental_hits={metrics['incremental_hits']}",
+                f"[bench] pass {repeat + 1}/{REPEATS} {program.name}:"
+                f" {clock.scaled[-1]:.3f}s scaled ({clock.raw[-1]:.3f}s raw)",
                 flush=True,
             )
-            print(
-                f"[bench]   sat: phase_hits={metrics.get('phase_saving_hits', 0)}",
-                flush=True,
-            )
+            if repeat:
+                continue
+            merged.merge(session.metrics_snapshot())
+            spans.extend(session.obs.tracer.drain())
+            per_program[program.name] = metrics
+            if "error" in metrics:
+                print(f"[bench]   error: {metrics['error']}", flush=True)
+            else:
+                print(
+                    f"[bench]   queries={metrics['smt_queries']}"
+                    f" from_scratch={metrics['from_scratch_solves']}"
+                    f" incremental_hits={metrics['incremental_hits']}"
+                    f" phase_hits={metrics['phase_saving_hits']}",
+                    flush=True,
+                )
+    for name, metrics in per_program.items():
+        metrics["elapsed"] = statistics.median(times[name])
     return per_program, merged, spans
 
 
@@ -129,8 +163,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         "--time-tolerance",
         type=float,
         default=0.25,
-        help="allowed relative regression in elapsed time (default 0.25; raise it"
-        " when gating against a baseline recorded on different hardware)",
+        help="allowed relative regression in elapsed time, in scaled seconds (default 0.25)",
     )
     parser.add_argument(
         "--update-baseline",

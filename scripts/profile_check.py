@@ -5,10 +5,11 @@ The speedup claims in the README/benchmarks are reproducible with::
 
     python scripts/profile_check.py bsearch --top 25 --output PROFILE_bsearch.txt
 
-which runs the full pipeline (parse -> elaborate -> lower -> check ->
-liquid fixpoint) under ``cProfile`` and prints the top-N functions by
-cumulative and by internal time, the run's full metrics-registry snapshot
-(see ``docs/observability.md``) and the term-layer cache statistics.
+which verifies the program through ``repro.service`` in a fresh, cache-less
+session (parse -> elaborate -> lower -> check -> liquid fixpoint) under
+``cProfile`` and prints the top-N functions by cumulative and by internal
+time, the run's full metrics-registry snapshot (see
+``docs/observability.md``) and the term-layer cache statistics.
 
 Use ``--no-profile`` for a plain wall-clock measurement (cProfile roughly
 triples the runtime of this workload — never compare a profiled number
@@ -33,8 +34,8 @@ sys.path.insert(0, os.path.join(REPO_ROOT, "src"))
 
 from repro.bench.fixpoint_bench import run_program_metrics, table1_programs  # noqa: E402
 from repro.logic import term_cache_stats  # noqa: E402
-from repro.obs import ObsContext  # noqa: E402
 from repro.obs.report import render_snapshot  # noqa: E402
+from repro.service import VerifySession  # noqa: E402
 
 
 def profile_program(
@@ -47,24 +48,24 @@ def profile_program(
     program = table1_programs([name])[0]
     sections: List[str] = []
 
-    obs = ObsContext.create(trace=trace_out is not None)
+    session = VerifySession(use_cache=False, trace=trace_out is not None)
     profiler = cProfile.Profile() if profile else None
     started = time.perf_counter()
     if profiler is not None:
         profiler.enable()
-    metrics = run_program_metrics(program, obs=obs)
+    metrics = run_program_metrics(program, session)
     if profiler is not None:
         profiler.disable()
     elapsed = time.perf_counter() - started
     if trace_out is not None:
-        obs.tracer.export(trace_out)
+        session.obs.tracer.export(trace_out)
 
     sections.append(f"== {name}: pipeline metrics ==")
     sections.append(json.dumps(metrics, indent=2, sort_keys=True, default=str))
     sections.append(f"wall clock: {elapsed:.3f}s" + (" (under cProfile)" if profile else ""))
 
     sections.append("")
-    sections.append(render_snapshot(obs.registry.snapshot(), title=f"{name}: metrics registry"))
+    sections.append(render_snapshot(session.metrics_snapshot(), title=f"{name}: metrics registry"))
 
     dplt_keys = (
         "batched_checks",

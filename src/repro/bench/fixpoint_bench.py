@@ -4,8 +4,9 @@ Two granularities, shared by ``scripts/bench_fixpoint.py`` (the CI benchmark
 lane) and ``benchmarks/test_fixpoint_incremental.py`` (the differential /
 speedup gate):
 
-* :func:`run_program_metrics` — end-to-end pipeline metrics for one Table-1
-  program under a fresh SMT context (what ``BENCH_fixpoint.json`` records);
+* :func:`run_program_metrics` — end-to-end metrics for one Table-1 program,
+  verified through :mod:`repro.service` in a fresh, cache-less session
+  (what ``BENCH_fixpoint.json`` records);
 * :func:`collect_function_constraints` / :func:`solve_constraints` — the
   phase-3 liquid inference in isolation, so the incremental and naive
   strategies can be compared on *identical* Horn constraints without paying
@@ -19,7 +20,6 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from repro.bench.programs import BenchmarkProgram, benchmark_programs
-from repro.core import verify_source
 from repro.logic import term_cache_stats
 from repro.core.checker import Checker
 from repro.core.errors import FluxError
@@ -30,6 +30,7 @@ from repro.lang import LexError, ParseError, parse_program
 from repro.mir.lower import lower_function
 from repro.mir.typeinfer import ProgramTypes, infer_types
 from repro.obs import ObsContext, use_obs
+from repro.service import VerifySession, verify_source
 from repro.smt import SmtContext, use_context
 
 
@@ -187,23 +188,23 @@ def fixpoint_metric_view(snapshot: Dict[str, Dict[str, object]]) -> Dict[str, ob
 
 
 def run_program_metrics(
-    program: BenchmarkProgram, obs: Optional[ObsContext] = None
+    program: BenchmarkProgram, session: Optional[VerifySession] = None
 ) -> Dict[str, object]:
     """End-to-end Flux metrics for one benchmark program.
 
-    Runs under a fresh :class:`SmtContext` *and* a fresh
-    :class:`~repro.obs.ObsContext`; the counter block of the report is read
-    straight off the run's registry snapshot (:func:`fixpoint_metric_view`).
+    Verifies through :mod:`repro.service`, by default in a fresh
+    ``VerifySession(use_cache=False)``; the counter block of the report is
+    read straight off the session's registry snapshot
+    (:func:`fixpoint_metric_view`), so pass a fresh session per program.
     Callers that want the raw snapshot, a trace or the event log afterwards
-    (``scripts/profile_check.py``) pass their own ``obs``.
+    (``scripts/profile_check.py``) read ``session.obs``.
     """
-    if obs is None:
-        obs = ObsContext.create()
+    if session is None:
+        session = VerifySession(use_cache=False)
     before = term_cache_stats()
     started = time.perf_counter()
     try:
-        with use_obs(obs), use_context(SmtContext()):
-            result = verify_source(program.flux_source, only=program.flux_functions)
+        result = verify_source(program.flux_source, only=program.flux_functions, session=session)
     except (FluxError, ParseError, LexError) as error:
         return {
             "error": f"{type(error).__name__}: {error}",
@@ -214,7 +215,7 @@ def run_program_metrics(
         "verified": result.ok,
         "failures": sorted(str(d) for d in result.diagnostics),
     }
-    metrics.update(fixpoint_metric_view(obs.registry.snapshot()))
+    metrics.update(fixpoint_metric_view(session.metrics_snapshot()))
     metrics.update(side_metric_deltas(before))
     return metrics
 

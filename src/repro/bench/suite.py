@@ -4,12 +4,12 @@ the metrics Table 1 reports (LOC, Spec, Annot, Time)."""
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import List, Optional, Tuple
 
 from repro.bench.programs import BenchmarkProgram, benchmark_programs
-from repro.core import verify_source
 from repro.prusti import verify_source_prusti
+from repro.service import VerifySession, verify_source
 
 
 @dataclass
@@ -66,37 +66,19 @@ class BenchmarkCase:
 
     # -- running ------------------------------------------------------------------
 
-    def run_flux(self, session: Optional["VerifySession"] = None) -> SideMetrics:
-        """Run the Flux side; with a ``session``, go through ``repro.service``
-        so repeated runs hit the per-function result cache and the metrics
-        report hit/miss counts.  Solver counters live in the metrics registry;
+    def run_flux(self, session: Optional[VerifySession] = None) -> SideMetrics:
+        """Run the Flux side through :mod:`repro.service`, by default in a
+        fresh ``VerifySession(use_cache=False)``: a cold run.  Pass a
+        ``session`` to reuse its per-function result cache; the metrics then
+        report this run's hit/miss counts.  Solver counters live in the
+        session's metrics registry;
         ``repro.bench.fixpoint_bench.run_program_metrics`` reports them."""
+        session = session or VerifySession(use_cache=False)
+        hits, misses = session.cache.hits, session.cache.misses
         started = time.perf_counter()
-        cache_hits = cache_misses = 0
-        if session is not None:
-            from repro.service import VerifyJob, verify_job
-
-            report = verify_job(
-                VerifyJob(
-                    source=self.program.flux_source,
-                    name=self.name,
-                    only=tuple(self.program.flux_functions),
-                ),
-                session,
-            )
-            if report.error is not None:
-                from repro.core import FluxError
-
-                # Same exception type as the session-less path would raise.
-                if report.exception is not None:
-                    raise report.exception
-                raise FluxError(report.error)
-            result = report.result
-            cache_hits, cache_misses = report.cache_hits, report.cache_misses
-        else:
-            result = verify_source(
-                self.program.flux_source, only=self.program.flux_functions
-            )
+        result = verify_source(
+            self.program.flux_source, only=self.program.flux_functions, session=session
+        )
         elapsed = time.perf_counter() - started
         failures = tuple(str(d) for d in result.diagnostics)
         return SideMetrics(
@@ -106,8 +88,8 @@ class BenchmarkCase:
             time=elapsed,
             verified=result.ok,
             failures=failures,
-            cache_hits=cache_hits,
-            cache_misses=cache_misses,
+            cache_hits=session.cache.hits - hits,
+            cache_misses=session.cache.misses - misses,
         )
 
     def run_prusti_static(self, note: str) -> SideMetrics:

@@ -14,16 +14,16 @@ Layout:
   inference for join/loop templates, constraint generation, strong updates
   through exclusive ownership, weak updates through ``&mut``, and strong
   references with ``ensures`` clauses.
-* :mod:`repro.core.pipeline` — the end-to-end ``verify`` entry point that
-  runs parsing, lowering, type inference, checking and liquid inference.
+* :mod:`repro.core.pipeline` — the per-function verifier that runs
+  lowering, type inference, checking and liquid inference, and the result
+  types it returns.  Programs enter it through :mod:`repro.service`
+  (``repro.service.verify_source`` for one call).
 """
 
 from repro.core.pipeline import (
     FunctionResult,
     VerificationResult,
     merge_programs,
-    verify_program,
-    verify_source,
 )
 from repro.core.errors import FluxError
 
@@ -31,7 +31,5 @@ __all__ = [
     "FunctionResult",
     "VerificationResult",
     "merge_programs",
-    "verify_program",
-    "verify_source",
     "FluxError",
 ]

@@ -1,14 +1,19 @@
-"""End-to-end verification pipeline.
+"""Per-function verification and its result types.
 
-``verify_source`` runs the three phases of §4 for every function in a
-MiniRust source file:
+:func:`_verify_function` runs the three phases of §4 on one function of an
+elaborated program (its ``#[flux::sig]`` attributes already elaborated into
+a :class:`~repro.core.genv.GlobalEnv`):
 
-1. *spatial/elaboration* — parse, lower to MIR, run Rust-level type
-   inference, and elaborate the ``#[flux::sig]`` attributes;
+1. *spatial/elaboration* — lower to MIR and run Rust-level type inference;
 2. *checking* — generate Horn constraints with κ variables for the unknown
    refinements (loop invariants, join templates, polymorphic instantiations);
 3. *inference* — solve the constraints with the liquid fixpoint solver and
    report any obligation that remains invalid.
+
+Programs enter through :mod:`repro.service`, which parses and elaborates
+them, consults the result cache, and verifies each remaining function in
+its scheduler's fault boundary; ``repro.service.verify_source`` is the
+one-call entry point.
 """
 
 from __future__ import annotations
@@ -17,7 +22,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
-from repro.lang import ast, parse_program
+from repro.lang import ast
 from repro.mir.lower import lower_function
 from repro.mir.typeinfer import ProgramTypes, infer_types
 from repro.fixpoint import FixpointSolver
@@ -121,21 +126,6 @@ class VerificationResult:
         return "\n".join(lines)
 
 
-def verify_source(
-    source: str,
-    only: Optional[Sequence[str]] = None,
-    extra_sources: Sequence[str] = (),
-) -> VerificationResult:
-    """Parse and verify a MiniRust source string.
-
-    ``extra_sources`` provides library code (e.g. the RMat implementation)
-    whose signatures should be in scope; library functions are verified too
-    unless marked ``#[flux::trusted]``.
-    """
-    merged = merge_programs([parse_program(text) for text in (*extra_sources, source)])
-    return verify_program(merged, only=only)
-
-
 def merge_programs(programs: Sequence[ast.Program]) -> ast.Program:
     """Concatenate parsed programs, rejecting duplicate function definitions.
 
@@ -172,50 +162,20 @@ def definition_map(program: ast.Program) -> Dict[str, ast.FnDef]:
     return fns
 
 
-def verify_program(
-    program: ast.Program,
-    only: Optional[Sequence[str]] = None,
-    session: Optional[SmtContext] = None,
-) -> VerificationResult:
-    started = time.perf_counter()
-    genv = GlobalEnv()
-    genv.register_program(program)
-    rust_context = ProgramTypes.from_program(program)
-
-    result = VerificationResult()
-    for fn in program.functions:
-        if only is not None and fn.name not in only:
-            continue
-        signature = genv.signature(fn.name)
-        if signature.trusted or fn.body is None:
-            result.add(FunctionResult(name=fn.name, ok=True, trusted=True))
-            continue
-        result.add(_verify_function(fn, genv, rust_context, session=session))
-    result.time = time.perf_counter() - started
-    return result
-
-
 def _verify_function(
-    fn: ast.FnDef,
-    genv: GlobalEnv,
-    rust_context: ProgramTypes,
-    session: Optional[SmtContext] = None,
+    fn: ast.FnDef, genv: GlobalEnv, rust_context: ProgramTypes, smt_context: SmtContext
 ) -> FunctionResult:
-    """Verify one function, optionally under an explicit SMT context.
+    """Verify one function under ``smt_context``.
 
     The result's ``metrics`` are the non-zero counter deltas of the ambient
-    metrics registry across this call.  Module-level (and with picklable
-    arguments) so the service scheduler can ship it to worker processes.
+    metrics registry across this call.  The service scheduler calls it
+    inside its fault boundary, in process or in a forked worker that
+    inherits the elaborated program.
     """
     registry = current_obs().registry
     before = registry.counter_values()
-    if session is None:
-        # Run under whatever context is already active (default or one a
-        # caller installed with ``use_context``).
+    with use_context(smt_context):
         result = _verify_function_in_context(fn, genv, rust_context)
-    else:
-        with use_context(session):
-            result = _verify_function_in_context(fn, genv, rust_context)
     result.metrics = {
         name: value - before.get(name, 0)
         for name, value in sorted(registry.counter_values().items())

@@ -196,12 +196,13 @@ def fresh_name(hint: str = "a") -> str:
 def reset_fresh_names() -> None:
     """Restart the fresh-name counter.
 
-    Tests only: binder names feed the solver's variable ordering, so
-    resetting before a verification makes its diagnostics (in particular the
-    golden-file counterexample valuations) independent of whatever ran
-    earlier in the process.  Never call this mid-verification — uniqueness
-    of fresh names within one checker run depends on the counter not
-    rewinding.
+    Tests and benchmarks only: binder names feed the solver's variable
+    ordering, so resetting before a verification makes its diagnostics (in
+    particular the golden-file counterexample valuations) independent of
+    whatever ran earlier in the process, and a repeated verification
+    reuses the interned terms of the first.  Never call this
+    mid-verification — uniqueness of fresh names within one checker run
+    depends on the counter not rewinding.
     """
     global _FRESH
     _FRESH = itertools.count(1)

@@ -1,20 +1,23 @@
 """The verification service: incremental, cacheable, parallel runs.
 
-``repro.core.verify_source`` re-checks every function from scratch on every
-call; this package is the production entry point layered on top of it:
+This package is the one entry into the verifier.  It parses and elaborates
+a program, serves unchanged functions from the result cache, and verifies
+the rest with :mod:`repro.core.pipeline`'s per-function checker:
 
 * :mod:`repro.service.session` — :class:`VerifySession`, owning per-run SMT
   state and the result cache (no shared globals, hence safe concurrency);
 * :mod:`repro.service.cache` — a content-addressed per-function result cache
   (in-memory and on-disk JSON) keyed by the function's AST and the interfaces
   it depends on;
-* :mod:`repro.service.scheduler` — callee-first scheduling onto a process
-  pool with a serial fallback and deterministic output;
+* :mod:`repro.service.scheduler` — callee-first scheduling, serial or on
+  forked :class:`repro.faults.Worker` processes, inside one fault boundary
+  (deadline, ``MemoryError``, ``RecursionError``), with deterministic
+  output;
 * :mod:`repro.service.api` — batch jobs in, structured JSON reports out;
 * :mod:`repro.service.cli` — ``python -m repro`` (``--explain`` renders
   rustc-style caret diagnostics with counterexamples).
 
-The one-call entry point is a drop-in for ``repro.core.verify_source``:
+The one-call entry point is :func:`verify_source`:
 
 >>> from repro.service import VerifySession, verify_source
 >>> session = VerifySession()          # owns SMT state + result cache

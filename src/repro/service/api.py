@@ -337,8 +337,16 @@ def verify_source(
     extra_sources: Sequence[str] = (),
     session: Optional[VerifySession] = None,
 ) -> VerificationResult:
-    """Drop-in, cached replacement for :func:`repro.core.verify_source`
-    (same parameter order, plus the optional ``session``)."""
+    """Verify one program and return its :class:`VerificationResult`.
+
+    ``extra_sources`` provides library code (e.g. the RMat implementation)
+    whose signatures should be in scope; library functions are verified too
+    unless marked ``#[flux::trusted]``.  Without a ``session`` the call runs
+    in a fresh one; pass ``VerifySession(use_cache=False)`` for a run that
+    neither reads nor fills the result cache.  A parse or elaboration
+    failure raises its original error (:class:`ParseError`,
+    :class:`FluxError`, ...).
+    """
     session = session or VerifySession()
     job = VerifyJob(
         source=source,
@@ -347,8 +355,7 @@ def verify_source(
     )
     report = verify_job(job, session)
     if report.error is not None:
-        # Re-raise the original error so the exception contract matches
-        # ``repro.core.verify_source`` (ParseError stays ParseError).
+        # Re-raise the original error: ParseError stays ParseError.
         if report.exception is not None:
             raise report.exception
         raise FluxError(report.error)

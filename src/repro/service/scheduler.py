@@ -78,7 +78,7 @@ def _verify_contained(
     try:
         with faults.enforce_deadline(deadline):
             faults.inject("scheduler.worker", key=name)
-            return _verify_function(fns[name], genv, rust_context, session=smt_context)
+            return _verify_function(fns[name], genv, rust_context, smt_context)
     except faults.InjectedCrash as error:
         return fault_result(name, WORKER_CRASHED, str(error), elapsed=time.perf_counter() - started)
     except faults.DeadlineExceeded:

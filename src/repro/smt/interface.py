@@ -101,7 +101,8 @@ class SmtContext:
     """Per-run solver state: the answer cache.
 
     ``repro.service.VerifySession`` owns one of these per run; the module
-    keeps a default context so bare ``verify_source`` calls keep working.
+    keeps a default context for solver calls made outside any session, such
+    as a direct :func:`check_sat`.
     Solver statistics live in the ambient metrics registry
     (:func:`repro.obs.current_obs`), not here.
     """

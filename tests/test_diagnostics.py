@@ -19,7 +19,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.core import verify_source
+from repro.service import verify_source
 from repro.core.genv import GlobalEnv
 from repro.core.rtypes import reset_fresh_names
 from repro.diagnostics import model_refutes, render_result

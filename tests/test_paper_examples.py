@@ -8,7 +8,7 @@ instantiation and the refined vector API.
 
 import pytest
 
-from repro.core import verify_source
+from repro.service import verify_source
 
 
 def assert_verifies(source: str, **kwargs):

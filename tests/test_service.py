@@ -8,19 +8,18 @@ from pathlib import Path
 
 import pytest
 
-from repro.core import FluxError, verify_source
+from repro.core import FluxError
 from repro.core.pipeline import FunctionResult, VerificationResult
-from repro.obs import ObsContext, use_obs
 from repro.service import (
     VerifyJob,
     VerifySession,
     verify_job,
     verify_jobs,
+    verify_source,
 )
-from repro.service import verify_source as service_verify_source
 from repro.service.cache import ResultCache
 from repro.service.cli import main as cli_main
-from repro.smt import AnswerCache, SmtContext, use_context
+from repro.smt import AnswerCache
 from repro.smt.result import SatResult, SolverAnswer
 
 
@@ -87,14 +86,12 @@ class TestAnswerCache:
         assert len(cache) == 2
 
     def test_contexts_isolate_caches(self):
-        ctx = SmtContext()
-        obs = ObsContext.create()
-        with use_context(ctx), use_obs(obs):
-            verify_source(INC)
-        assert _queries(obs.registry) > 0
-        assert len(ctx.cache) > 0
-        other = SmtContext()
-        assert len(other.cache) == 0
+        first, second = VerifySession(), VerifySession()
+        verify_source(INC, session=first)
+        assert _queries(first.metrics) > 0
+        assert len(first.smt.cache) > 0
+        assert _queries(second.metrics) == 0
+        assert len(second.smt.cache) == 0
 
 
 # ---------------------------------------------------------------------------
@@ -151,7 +148,7 @@ class TestVerificationResult:
         from repro.lang import ParseError
 
         with pytest.raises(ParseError):
-            service_verify_source("fn broken(", session=VerifySession())
+            verify_source("fn broken(", session=VerifySession())
 
     def test_deep_call_chains_do_not_overflow_the_scheduler(self):
         depth = 1200
@@ -191,12 +188,12 @@ class TestVerificationResult:
 class TestResultCache:
     def test_cold_then_warm(self):
         session = VerifySession()
-        cold = service_verify_source(INC + INC2 + SUM, session=session)
+        cold = verify_source(INC + INC2 + SUM, session=session)
         assert cold.ok
         assert session.cache.hits == 0 and session.cache.misses == 3
         queries_after_cold = _queries(session.metrics)
 
-        warm = service_verify_source(INC + INC2 + SUM, session=session)
+        warm = verify_source(INC + INC2 + SUM, session=session)
         assert warm.ok
         assert session.cache.hits == 3, "warm run must be served from cache"
         assert _queries(session.metrics) == queries_after_cold, "no SMT work on warm run"
@@ -204,7 +201,7 @@ class TestResultCache:
 
     def test_editing_a_body_only_reverifies_that_function(self):
         session = VerifySession()
-        service_verify_source(INC + INC2 + SUM, session=session)
+        verify_source(INC + INC2 + SUM, session=session)
         # New body for inc, same signature: inc2 still depends only on the
         # (unchanged) signature, so only inc itself re-verifies.
         edited_inc = """
@@ -222,7 +219,7 @@ class TestResultCache:
 
     def test_editing_a_signature_reverifies_dependents(self):
         session = VerifySession()
-        service_verify_source(INC + INC2 + SUM, session=session)
+        verify_source(INC + INC2 + SUM, session=session)
         # Stronger signature for inc: inc's callers must be re-checked too;
         # the unrelated fill_len stays cached.
         edited_inc = """
@@ -238,15 +235,15 @@ class TestResultCache:
 
     def test_shuffling_unrelated_code_keeps_cache_valid(self):
         session = VerifySession()
-        service_verify_source(INC + SUM, session=session)
+        verify_source(INC + SUM, session=session)
         report = verify_job(VerifyJob(source=SUM + INC), session)
         assert report.cache_hits == 2 and report.cache_misses == 0
 
     def test_failing_results_are_cached_too(self):
         session = VerifySession()
-        first = service_verify_source(BAD, session=session)
+        first = verify_source(BAD, session=session)
         assert not first.ok
-        second = service_verify_source(BAD, session=session)
+        second = verify_source(BAD, session=session)
         assert not second.ok
         assert session.cache.hits == 1
         assert [str(d) for d in second.diagnostics] == [
@@ -255,25 +252,25 @@ class TestResultCache:
 
     def test_no_cache_disables_reuse(self):
         session = VerifySession(use_cache=False)
-        service_verify_source(INC, session=session)
-        service_verify_source(INC, session=session)
+        verify_source(INC, session=session)
+        verify_source(INC, session=session)
         assert session.cache.hits == 0 and session.cache.misses == 0
 
     def test_disk_persistence_across_sessions(self, tmp_path):
         cache_dir = str(tmp_path / "flux-cache")
         first = VerifySession(cache_dir=cache_dir)
-        service_verify_source(INC + INC2, session=first)
+        verify_source(INC + INC2, session=first)
         assert first.cache.misses == 2
 
         fresh = VerifySession(cache_dir=cache_dir)
-        result = service_verify_source(INC + INC2, session=fresh)
+        result = verify_source(INC + INC2, session=fresh)
         assert result.ok
         assert fresh.cache.hits == 2 and fresh.cache.misses == 0
 
     def test_non_numeric_metric_entry_is_a_miss(self, tmp_path):
         cache_dir = str(tmp_path / "flux-cache")
         session = VerifySession(cache_dir=cache_dir)
-        service_verify_source(INC, session=session)
+        verify_source(INC, session=session)
         (entry,) = [name for name in os.listdir(cache_dir) if name.endswith(".json")]
         path = os.path.join(cache_dir, entry)
         with open(path, encoding="utf-8") as handle:
@@ -308,12 +305,12 @@ class TestResultCache:
             """
 
         session = VerifySession()
-        first = service_verify_source(program("i32[n]"), session=session)
+        first = verify_source(program("i32[n]"), session=session)
         assert first.ok
         # Weaken the field: val is now only known to be >= n, so ``use_mk``
         # can no longer return exactly i32[3].  A stale cache would keep
         # serving the old "ok" verdict.
-        second = service_verify_source(program("i32{v: v >= n}"), session=session)
+        second = verify_source(program("i32{v: v >= n}"), session=session)
         use_mk = second.function("use_mk")
         assert not use_mk.ok, "stale cached verdict served after editing struct S"
 
@@ -340,10 +337,10 @@ class TestScheduler:
     PROGRAM = INC + INC2 + SUM + BAD
 
     def test_parallel_diagnostics_match_serial(self):
-        serial = service_verify_source(
+        serial = verify_source(
             self.PROGRAM, session=VerifySession(jobs=1, use_cache=False)
         )
-        parallel = service_verify_source(
+        parallel = verify_source(
             self.PROGRAM, session=VerifySession(jobs=2, use_cache=False)
         )
         assert [fn.name for fn in parallel.functions] == [
@@ -358,9 +355,9 @@ class TestScheduler:
 
     def test_parallel_populates_cache_and_session_stats(self):
         session = VerifySession(jobs=2)
-        service_verify_source(self.PROGRAM, session=session)
+        verify_source(self.PROGRAM, session=session)
         assert _queries(session.metrics) > 0  # worker deltas merged back
-        warm = service_verify_source(self.PROGRAM, session=session)
+        warm = verify_source(self.PROGRAM, session=session)
         assert session.cache.hits == 4
         assert not warm.ok  # BAD stays rejected from cache
 

@@ -9,12 +9,11 @@ function body is checked, proved at every call site.
 
 import pytest
 
-from repro.core import verify_source
 from repro.core.errors import FluxError
 from repro.core.genv import GlobalEnv
 from repro.lang import parse_program
 from repro.logic import BinOp, Var, IntConst, gt
-from repro.smt import SmtContext, use_context
+from repro.service import verify_source
 
 
 POSITIVE_LEN = """
@@ -66,13 +65,11 @@ fn bad(n: usize) -> RVec<i32> {
 
 class TestVerification:
     def test_requirement_assumed_in_body_and_proved_at_call(self):
-        with use_context(SmtContext()):
-            result = verify_source(POSITIVE_LEN)
+        result = verify_source(POSITIVE_LEN)
         assert result.ok, [str(d) for d in result.diagnostics]
 
     def test_caller_without_requirement_fails(self):
-        with use_context(SmtContext()):
-            result = verify_source(BAD_CALLER)
+        result = verify_source(BAD_CALLER)
         assert not result.ok
         assert any("requires" in str(d) for d in result.diagnostics)
 
