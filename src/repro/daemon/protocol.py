@@ -16,6 +16,7 @@ connection)::
 from __future__ import annotations
 
 import hashlib
+import json
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Tuple
 
@@ -147,8 +148,9 @@ class JobRecord:
     submitted: float = 0.0  # wall-clock (time.time) timestamps
     started: Optional[float] = None
     finished: Optional[float] = None
-    #: ``JobReport.to_dict()`` once the job is done.
-    report: Optional[Dict[str, object]] = None
+    #: ``JobReport.to_dict()`` as JSON text once the job is done: about a
+    #: third of the memory of the decoded dict, and served undecoded.
+    report_json: Optional[str] = None
     #: Structured error payload (``error_payload``'s inner dict) when failed.
     error: Optional[Dict[str, object]] = None
     #: How many duplicate submissions were folded into this record.
@@ -161,7 +163,30 @@ class JobRecord:
     def active(self) -> bool:
         return self.state in ("queued", "running")
 
+    @property
+    def report(self) -> Optional[Dict[str, object]]:
+        """The finished job's report, decoded from :attr:`report_json`."""
+        return None if self.report_json is None else json.loads(self.report_json)
+
     def to_dict(self, include_report: bool = True) -> Dict[str, object]:
+        payload = self._status()
+        if include_report and self.report_json is not None:
+            payload["report"] = self.report
+        if self.error is not None:
+            payload["error"] = dict(self.error)
+        return payload
+
+    def to_json(self) -> str:
+        """``json.dumps(self.to_dict())``, with the report text spliced in undecoded."""
+        text = json.dumps(self._status())[:-1]
+        if self.report_json is not None:
+            text += ', "report": ' + self.report_json
+        if self.error is not None:
+            text += ', "error": ' + json.dumps(self.error)
+        return text + "}"
+
+    def _status(self) -> Dict[str, object]:
+        """Every ``to_dict`` key but ``report`` and ``error``, in order."""
         payload: Dict[str, object] = {
             "id": self.id,
             "name": self.request.name,
@@ -181,10 +206,6 @@ class JobRecord:
             payload["finished"] = self.finished
             if self.started is not None:
                 payload["elapsed"] = round(self.finished - self.started, 6)
-        if include_report and self.report is not None:
-            payload["report"] = self.report
-        if self.error is not None:
-            payload["error"] = dict(self.error)
         return payload
 
 

@@ -366,7 +366,7 @@ class JobQueue:
                 status = outcome.get("status")
                 if status == "ok":
                     self.pool.release(worker)
-                    record.report = outcome["report"]
+                    record.report_json = outcome["report_json"]
                     record.state = "done"
                     self._counter(
                         "daemon.jobs.completed", "jobs verified to completion"

@@ -397,7 +397,7 @@ class VerifyDaemon:
             raise _HttpError(
                 404, error_payload("NOT_FOUND", f"no such job: {job_id}", job=job_id)
             )
-        return 200, "application/json", json.dumps(record.to_dict()).encode("utf-8")
+        return 200, "application/json", record.to_json().encode("utf-8")
 
     def _handle_metrics(self) -> Tuple[int, str, bytes]:
         # One merged exposition: the daemon registry (HTTP/queue series)

@@ -23,6 +23,7 @@ replaces the previous one).
 
 from __future__ import annotations
 
+import json
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro import faults
@@ -60,7 +61,8 @@ def _session_server(config: Dict[str, object]) -> Callable[[], Callable[[Dict], 
                 )
                 return {
                     "status": "ok",
-                    "report": verify_job(job, session).to_dict(),
+                    # Encoded once, here: the daemon keeps and serves the text.
+                    "report_json": json.dumps(verify_job(job, session).to_dict()),
                     "metrics": session.metrics_snapshot(),
                     "cache": {
                         "hits": session.cache.hits,

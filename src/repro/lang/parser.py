@@ -138,20 +138,19 @@ class _Parser:
     def _balanced_tokens(self, open_tok: str, close_tok: str) -> List[str]:
         """Consume a balanced token group and return the raw texts inside."""
         self.ts.expect(open_tok)
+        tokens = self.ts.tokens
+        start = self.ts.position
         depth = 1
-        texts: List[str] = []
-        while depth > 0:
-            token = self.ts.next()
-            if token.kind == "eof":
-                raise ParseError("unterminated attribute argument list")
-            if token.text == open_tok:
+        for end in range(start, len(tokens) - 1):
+            text = tokens[end].text
+            if text == open_tok:
                 depth += 1
-            elif token.text == close_tok:
+            elif text == close_tok:
                 depth -= 1
                 if depth == 0:
-                    break
-            texts.append(token.text)
-        return texts
+                    self.ts.rewind(end + 1)
+                    return [token.text for token in tokens[start:end]]
+        raise ParseError("unterminated attribute argument list")
 
     def generics(self) -> Tuple[str, ...]:
         if not self.ts.accept("<"):

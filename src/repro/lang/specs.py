@@ -10,8 +10,10 @@
   expressions (:mod:`repro.logic`) where program operations appear as
   uninterpreted applications (``len(v)``, ``lookup(v, i)``, ``old(e)``).
 
-Both share MiniRust's lexer: attributes arrive as raw token texts captured by
-the program parser, re-joined and re-tokenised here.
+Both share MiniRust's lexer: attributes arrive as the raw token texts the
+program parser captured, and each text is read back as one token, at the
+column it has in the texts joined by spaces (see
+:func:`repro.lang.lexer.tokenize_texts`).
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple, Union
 
-from repro.lang.lexer import TokenStream, tokenize
+from repro.lang.lexer import TokenStream, tokenize_texts
 from repro.lang.parser import ParseError
 from repro.logic.expr import (
     binop,
@@ -117,8 +119,7 @@ TYPE_ALIASES = {
 
 class _SpecParser:
     def __init__(self, tokens: Sequence[str]) -> None:
-        source = " ".join(tokens)
-        self.ts = TokenStream(tokenize(source))
+        self.ts = TokenStream(tokenize_texts(tokens))
 
     # refinement expressions -----------------------------------------------
 

@@ -7,12 +7,19 @@ import json
 import socket
 import threading
 import time
+import urllib.request
 
 import pytest
 
 from repro import faults
 from repro.daemon import client
-from repro.daemon.protocol import DEFAULT_TENANT, JobRequest, ProtocolError, error_payload
+from repro.daemon.protocol import (
+    DEFAULT_TENANT,
+    JobRecord,
+    JobRequest,
+    ProtocolError,
+    error_payload,
+)
 from repro.daemon.queue import JobQueue
 from repro.daemon.quotas import QuotaExceeded, TenantQuotas
 from repro.daemon.testing import run_daemon
@@ -56,6 +63,25 @@ class TestProtocol:
         assert request.tenant == DEFAULT_TENANT
         again = JobRequest.from_dict(request.to_dict())
         assert again == request
+
+    def test_record_json_splices_the_report_text_in_to_dict_order(self):
+        request = JobRequest(source=INC, name="n")
+        report = {"name": "n", "ok": False, "functions": [{"name": "f", "time": 0.5}]}
+        text = json.dumps(report)
+        error = error_payload("TIMEOUT", "slow", job="job-1")["error"]
+        meta = {"attempts": 1, "worker_pid": 42}
+        timed = {"submitted": 1.25, "started": 2.0, "finished": 3.5, "meta": meta}
+        records = [
+            JobRecord(id="job-1", request=request),
+            JobRecord(id="job-1", request=request, state="running", started=2.0, meta=meta),
+            JobRecord(id="job-1", request=request, state="done", report_json=text, **timed),
+            JobRecord(id="job-1", request=request, state="failed", error=error, **timed),
+            # Both at once never happens today; the splice keeps the order anyway.
+            JobRecord(id="job-1", request=request, report_json=text, error=error),
+        ]
+        for record in records:
+            assert record.to_json() == json.dumps(record.to_dict())
+        assert records[2].report == report
 
     def test_validation_errors(self):
         with pytest.raises(ProtocolError):
@@ -248,6 +274,20 @@ class TestDaemonEndToEnd:
             assert bad["state"] == "done"  # verification *ran*; verdict is False
             assert bad["report"]["ok"] is False
             assert bad["report"]["functions"][0]["diagnostics"]
+
+    def test_finished_record_keeps_report_as_json_text(self):
+        with run_daemon() as daemon:
+            job_id = client.submit(daemon.url, BAD, name="kept")
+            client.wait(daemon.url, job_id)
+            with urllib.request.urlopen(f"{daemon.url}/jobs/{job_id}", timeout=10) as response:
+                body = response.read()
+            record = daemon.daemon.queue.get(job_id)
+        # The record holds text, and GET /jobs/<id> is byte-for-byte the
+        # body that encoding the decoded record gives, key order included.
+        assert isinstance(record.report_json, str)
+        assert body == json.dumps(record.to_dict()).encode("utf-8")
+        assert json.loads(body)["report"] == record.report
+        assert record.report["functions"][0]["diagnostics"]
 
     def test_duplicate_submission_returns_same_job_id(self):
         with run_daemon() as daemon:

@@ -44,6 +44,12 @@ class TestLexer:
         with pytest.raises(LexError):
             tokenize("/* never closed")
 
+    def test_non_ascii_digit_is_an_unexpected_character(self):
+        # Numeric literals are ASCII, as in Rust.  ``str.isdigit()`` accepts
+        # ``²``, which ``int()`` then rejects with a bare ``ValueError``.
+        with pytest.raises(LexError, match=r"^unexpected character '²' at line 1, column 25$"):
+            parse_program("fn f() -> i32 { let x = ²; x }")
+
 
 SIMPLE_FN = """
 #[flux::sig(fn(i32[@n]) -> bool[n > 0])]

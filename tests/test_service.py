@@ -150,6 +150,17 @@ class TestVerificationResult:
         with pytest.raises(ParseError):
             verify_source("fn broken(", session=VerifySession())
 
+    def test_non_ascii_digit_ends_in_a_structured_error(self):
+        from repro.lang import LexError
+
+        source = "fn f() -> i32 { let x = ²; x }"
+        report = verify_job(VerifyJob(source=source, name="digit"), VerifySession())
+        assert not report.ok
+        assert report.error == "unexpected character '²' at line 1, column 25"
+        assert report.to_dict()["error"] == report.error
+        with pytest.raises(LexError):
+            verify_source(source, session=VerifySession())
+
     def test_deep_call_chains_do_not_overflow_the_scheduler(self):
         depth = 1200
         parts = [
