@@ -138,7 +138,3 @@ def all_benchmarks() -> List[BenchmarkCase]:
 
 def library_cases() -> List[BenchmarkCase]:
     return [case for case in all_benchmarks() if case.name == "rmat"]
-
-
-def benchmark_cases() -> List[BenchmarkCase]:
-    return [case for case in all_benchmarks() if case.name != "rmat"]

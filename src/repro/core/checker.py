@@ -554,19 +554,6 @@ class Checker:
         state.env = env
         self._join_states[block_id] = state
 
-    def _template_of_shape(self, rtype: RType, extra_scope: Sequence[Tuple[str, Sort]] = ()) -> RType:
-        """A type of the same shape with fresh κ refinements (shape inference)."""
-        base = base_of(rtype)
-        if base is None:
-            return rtype
-        sorts = base.index_sorts()
-        if not sorts:
-            return RIndexed(base, ())
-        binders = tuple((fresh_name("tv"), sort) for sort in sorts)
-        scope = binders + tuple(self._entry_binders) + tuple(extra_scope)
-        kvar = self.fresh_kvar(scope)
-        return RExists(base, binders, kvar)
-
     # -------------------------------------------------------------- block body
 
     def check_block(self, block: Block, state: RefinementState) -> Optional[RefinementState]:

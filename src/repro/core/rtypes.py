@@ -171,13 +171,6 @@ class RUninit(RType):
         return "uninit"
 
 
-@dataclass(frozen=True)
-class RFnPtr(RType):
-    """Placeholder for function values (not first-class in the benchmarks)."""
-
-    name: str
-
-
 UNIT = RIndexed(BTUnit())
 UNINIT = RUninit()
 
@@ -308,21 +301,3 @@ def base_invariants(base: BaseTy, indices: Sequence[Expr]) -> List[Expr]:
         for index in indices:
             facts.append(ge(index, 0))
     return facts
-
-
-def type_params_of(rtype: RType) -> List[str]:
-    """Names of the generic parameters occurring in a refined type."""
-    found: List[str] = []
-
-    def visit(t: RType) -> None:
-        base = base_of(t)
-        if isinstance(base, BTParam) and base.name not in found:
-            found.append(base.name)
-        if isinstance(base, BTAdt):
-            for arg in base.args:
-                visit(arg)
-        if isinstance(t, RRef):
-            visit(t.inner)
-
-    visit(rtype)
-    return found

@@ -45,6 +45,7 @@ import asyncio
 import time
 from collections import OrderedDict, deque
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 from typing import Deque, Dict, Optional, Tuple
 
 from repro import faults
@@ -162,8 +163,7 @@ class JobQueue:
                 "daemon shut down before the job ran",
                 job=record.id,
             )["error"]
-            record.finished = time.time()
-            self.quotas.release(record.request.tenant)
+            self._end(record)
             abandoned += 1
         if abandoned:
             self._counter(
@@ -335,6 +335,16 @@ class JobQueue:
         record.error = error_payload(kind, message, job=record.id)["error"]
         self._counter(counter, help).inc()
 
+    def _end(self, record: JobRecord) -> None:
+        """Close a record that reached ``done`` or ``failed``.
+
+        From here on only its name, tenant and ``meta["key"]`` are read, so
+        the sources go: kept, they would live for the record's retention.
+        """
+        record.finished = time.time()
+        self.quotas.release(record.request.tenant)
+        record.request = replace(record.request, source="", extra_sources=())
+
     def _retire(self, worker: faults.Worker) -> None:
         """Kill a compromised worker; the pool mints a replacement."""
         self.pool.retire(worker)
@@ -427,9 +437,8 @@ class JobQueue:
                 "jobs failed by internal error",
             )
         finally:
-            record.finished = time.time()
+            self._end(record)
             self._running -= 1
-            self.quotas.release(record.request.tenant)
             self.registry.histogram(
                 "daemon.job_seconds",
                 REQUEST_LATENCY_BUCKETS,

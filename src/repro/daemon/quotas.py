@@ -50,10 +50,6 @@ class TenantQuotas:
     def limit_for(self, tenant: str) -> int:
         return self.limits.get(tenant, self.default_limit)
 
-    def active_for(self, tenant: str) -> int:
-        with self._lock:
-            return self._active.get(tenant, 0)
-
     def acquire(self, tenant: str) -> None:
         """Admit one job for ``tenant`` or raise :class:`QuotaExceeded`."""
         limit = self.limit_for(tenant)

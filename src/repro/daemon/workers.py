@@ -134,10 +134,6 @@ class WorkerPool:
     def warm(self) -> int:
         return len(self._idle) + len(self._busy)
 
-    @property
-    def created(self) -> int:
-        return self._spawned
-
     def acquire(self) -> faults.Worker:
         if not self._idle:
             raise RuntimeError("worker pool exhausted: acquire without a free worker")

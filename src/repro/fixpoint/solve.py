@@ -110,9 +110,6 @@ _ONESHOT = object()
 """Per-clause sentinel: the clause left the incremental fragment (quantified
 hypotheses or a preprocessing error) and is checked with one-shot queries."""
 
-_WITNESS_CACHE_LIMIT = 16
-"""Counterexample models retained per clause for query-free discarding."""
-
 
 @dataclass
 class FixpointError:
@@ -553,11 +550,6 @@ class FixpointSolver:
                 dependents.setdefault(name, []).append(index)
 
         contexts: List[object] = [None] * len(kvar_clauses)
-        # Per-clause counterexample caches: κ solutions only ever weaken, so
-        # a model that once satisfied a clause's hypotheses satisfies every
-        # later (weaker) version of them — old witnesses keep discarding
-        # qualifiers for free on every revisit.
-        witnesses: List[List[Dict[str, object]]] = [[] for _ in kvar_clauses]
         queue = deque(range(len(kvar_clauses)))
         queued = set(queue)
         budget_errors: List[FixpointError] = []
@@ -576,7 +568,7 @@ class FixpointSolver:
             with obs_span("fixpoint.clause", head=head_name, tag=clause.tag):
                 hypotheses, sorts = self._clause_hypotheses(clause, candidate)
                 kept = self._surviving_qualifiers(
-                    index, clause, hypotheses, sorts, current, contexts, witnesses, stats
+                    index, clause, hypotheses, sorts, current, contexts, stats
                 )
             if len(kept) != len(current):
                 candidate[head_name] = kept
@@ -671,7 +663,6 @@ class FixpointSolver:
         sorts: Dict[str, Sort],
         current: List[Expr],
         contexts: List[object],
-        witnesses: List[List[Dict[str, object]]],
         stats: _RunStats,
     ) -> List[Expr]:
         """Qualifiers of ``current`` implied by the clause's hypotheses."""
@@ -694,7 +685,7 @@ class FixpointSolver:
             )
             try:
                 return self._filter_incremental(
-                    index, clause, hypotheses, sorts, goals, contexts, witnesses, stats
+                    index, clause, hypotheses, sorts, goals, contexts, stats
                 )
             except SmtError:
                 # Outside the incremental fragment (non-linear after
@@ -742,7 +733,6 @@ class FixpointSolver:
         sorts: Dict[str, Sort],
         goals: List[Tuple[Expr, Expr]],
         contexts: List[object],
-        witnesses: List[List[Dict[str, object]]],
         stats: _RunStats,
     ) -> List[Expr]:
         """One clause visit on the incremental backend, core-batched.
@@ -758,6 +748,11 @@ class FixpointSolver:
         set bit-identical to the one-at-a-time oracle.  Undecidable corners
         (models outside the evaluable fragment, unknown answers) fall back
         to exact per-qualifier checks.
+
+        No model outlives its visit.  Weakening only ever shrinks a κ's
+        candidate list, and every candidate that survives a visit was
+        evaluated, deterministically, against every model that visit
+        produced; so on a revisit an old model would falsify nothing.
         """
         solver = contexts[index]
         if not isinstance(solver, IncrementalSolver):
@@ -801,22 +796,6 @@ class FixpointSolver:
                             f" at {unevaluable[position]}"
                         )
                     stats.record_unknown(clause, detail)
-
-        # Cached counterexamples discard for free before any query is made:
-        # each was a genuine model of this clause's (then stronger)
-        # hypotheses, so anything it falsifies is still not implied.
-        cache = witnesses[index]
-        for model in cache:
-            falsified = [
-                position
-                for position in pending
-                if _goal_refuted_by(goals[position][1], model)
-            ]
-            if falsified:
-                for position in falsified:
-                    survived[position] = False
-                dropped = set(falsified)
-                pending = [p for p in pending if p not in dropped]
 
         solver.push()
         try:
@@ -865,9 +844,6 @@ class FixpointSolver:
                             unevaluable[position] = failure
                     check_individually(pending, unevaluable)
                     break
-                if len(cache) >= _WITNESS_CACHE_LIMIT:
-                    cache.pop(0)
-                cache.append(model)
                 for position in falsified:
                     survived[position] = False
                 dropped = set(falsified)

@@ -8,9 +8,9 @@ lexical structure.
 per lexical class (whitespace run, newline, identifier, ``//`` comment,
 ``/*`` opener, operator, number, string): at each index it takes the
 first alternative that matches and dispatches on the group's name.
-Positions keep two quirks of the original character loop, which spans and
-error messages depend on: a comment never advances the column, and a
-``/* */`` comment adds its newlines to the line only.
+A token's position is the line and column of its first character.  A
+``/* */`` comment or a string literal may span lines: each of its newlines
+advances the line, and the column restarts after the last one.
 """
 
 from __future__ import annotations
@@ -187,15 +187,26 @@ def tokenize(source: str) -> List[Token]:
             kind = "keyword" if text in KEYWORDS else "ident"
             append(_new_token(Token, (kind, text, line, column)))
             column += end - index
-        elif kind == "block_comment":
-            close = source.find("*/", end)
-            if close == -1:
-                raise LexError(f"unterminated block comment at line {line}")
-            line += source.count("\n", end, close)
-            end = close + 2
-        elif kind != "line_comment":
+        elif kind == "op" or kind == "int" or kind == "float":
             append(_new_token(Token, (kind, found.group(), line, column)))
             column += end - index
+        elif kind == "line_comment":
+            column += end - index
+        else:
+            # A string or a block comment: either may span lines.
+            if kind == "string":
+                append(_new_token(Token, (kind, found.group(), line, column)))
+            else:
+                close = source.find("*/", end)
+                if close == -1:
+                    raise LexError(f"unterminated block comment at line {line}")
+                end = close + 2
+            last_newline = source.rfind("\n", index, end)
+            if last_newline == -1:
+                column += end - index
+            else:
+                line += source.count("\n", index, end)
+                column = end - last_newline
         index = end
 
     append(_new_token(Token, ("eof", "", line, column)))
@@ -207,8 +218,8 @@ def tokenize_texts(texts: Sequence[str]) -> List[Token]:
 
     Attribute arguments reach the specification parsers as the token texts
     the program lexer cut, so each text is one token on line 1, at its
-    offset in the joined text.  A text that is not exactly one token sends
-    the joined text through :func:`tokenize`.
+    offset in the joined text.  A text that is not exactly one token, or
+    that spans lines, sends the joined text through :func:`tokenize`.
 
     >>> tokenize_texts(["x", ">=", "0"]) == tokenize("x >= 0")
     True
@@ -222,7 +233,7 @@ def tokenize_texts(texts: Sequence[str]) -> List[Token]:
         if kind is None:
             found = match(text)
             kind = found.lastgroup if found is not None else None
-            if kind not in _TOKEN_KINDS or found.end() != len(text):
+            if kind not in _TOKEN_KINDS or found.end() != len(text) or "\n" in text:
                 return tokenize(" ".join(texts))
         append(_new_token(Token, (kind, text, 1, column)))
         column += len(text) + 1

@@ -259,17 +259,6 @@ class _Lowerer:
             operands.append(operand)
         return current, operands
 
-    def lower_place(self, expr: ast.Expr, current: Optional[Block] = None) -> Place:
-        """Lower a syntactic place.  Use :meth:`lower_place_in` when the
-        expression may contain calls (which advance the current block)."""
-        block, place = self.lower_place_in(expr, current)
-        if current is not None and block is not current:
-            raise LoweringError(
-                "calls inside this place expression must be bound to a let first "
-                f"(while lowering {expr!r})"
-            )
-        return place
-
     def lower_place_in(
         self, expr: ast.Expr, current: Optional[Block]
     ) -> Tuple[Optional[Block], Place]:

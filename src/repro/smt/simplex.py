@@ -18,11 +18,10 @@ is split into real/eps component arrays, so the hot update loops never
 allocate a :class:`DeltaRational`).  Fixed-width containers (``array('q')``,
 numpy) are deliberately **not** used for the coefficients: exactness
 requires arbitrary-precision ints with Fraction fallback, which only plain
-Python lists can hold without overflow.  Rows are sparse ``{col_id: coeff}``
-dicts until their occupancy crosses :data:`DENSE_RATIO` of the column count,
-at which point they are converted to dense coefficient lists; a column
-index (var id → basic rows mentioning it) makes bound updates O(column
-occupancy) instead of O(rows).  Names appear only at the API boundary.
+Python containers can hold without overflow.  Rows are sparse ``{col_id: coeff}``
+dicts holding only nonzero coefficients, and a column index (var id → basic
+rows mentioning it) makes bound updates O(column occupancy) instead of
+O(rows).  Names appear only at the API boundary.
 
 The entry point is :func:`check_constraints`: given a conjunction of linear
 constraints it either returns a rational model or an *explanation* — a subset
@@ -36,17 +35,9 @@ import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple, Union
 
 Rational = Union[int, Fraction]
-
-#: A sparse row converts to a dense coefficient list when it has at least
-#: this many nonzeros …
-DENSE_MIN_NNZ = 48
-#: … and mentions at least this fraction of all allocated columns.  Rows
-#: from refinement checking are tiny (a handful of ±1 coefficients), so the
-#: dense path only kicks in for genuinely dense tableaus.
-DENSE_RATIO = 0.35
 
 
 def exact_div(a: Rational, b: Rational) -> Rational:
@@ -141,25 +132,6 @@ class _Bound:
         self.origin = origin
 
 
-#: Row representation: sparse ``{col_id: coeff}`` or a dense coefficient
-#: list indexed by col id (missing tail entries are zero).
-Row = Union[Dict[int, Rational], List[Rational]]
-
-
-def _row_items(row: Row) -> Iterator[Tuple[int, Rational]]:
-    """Iterate the nonzero (col_id, coeff) entries of a row."""
-    if type(row) is dict:
-        return iter(row.items())
-    return ((j, c) for j, c in enumerate(row) if c)
-
-
-def _row_coeff(row: Row, j: int) -> Rational:
-    """The coefficient of column ``j`` in ``row`` (0 when absent)."""
-    if type(row) is dict:
-        return row.get(j, 0)
-    return row[j] if j < len(row) else 0
-
-
 class Simplex:
     """General simplex tableau over exact rationals (flattened, id-indexed)."""
 
@@ -175,7 +147,7 @@ class Simplex:
         self._lower: List[Optional[_Bound]] = []
         self._upper: List[Optional[_Bound]] = []
         # tableau: basic id -> row; a var is basic iff it keys ``_rows``
-        self._rows: Dict[int, Row] = {}
+        self._rows: Dict[int, Dict[int, Rational]] = {}
         # column index: var id -> basic ids whose row has a nonzero there
         self._cols: List[Set[int]] = []
         # basic ids whose value/bounds changed since last verified in-bounds
@@ -244,7 +216,7 @@ class Simplex:
             definition = rows.get(vid)
             if definition is not None:
                 # substitute the definition of a basic variable
-                for inner, inner_coeff in _row_items(definition):
+                for inner, inner_coeff in definition.items():
                     row[inner] = row.get(inner, 0) + coeff * inner_coeff
             else:
                 row[vid] = row.get(vid, 0) + coeff
@@ -352,8 +324,7 @@ class Simplex:
         rows = self._rows
         dirty = self._dirty
         for bi in self._cols[vid]:
-            row = rows[bi]
-            coeff = row.get(vid) if type(row) is dict else row[vid]
+            coeff = rows[bi][vid]
             vreal[bi] = vreal[bi] + delta_real * coeff
             veps[bi] = veps[bi] + delta_eps * coeff
             dirty.add(bi)
@@ -365,13 +336,12 @@ class Simplex:
         rows = self._rows
         cols = self._cols
         row = rows.pop(bi)
-        items = list(_row_items(row))
-        for j, _ in items:
+        for j in row:
             cols[j].discard(bi)
-        coeff = _row_coeff(row, nj)
+        coeff = row[nj]
         # nj = (bi - sum_{j != nj} a_j x_j) / coeff
         new_row: Dict[int, Rational] = {bi: exact_div(1, coeff)}
-        for j, a in items:
+        for j, a in row.items():
             if j != nj:
                 new_row[j] = exact_div(-a, coeff)
         # substitute into every remaining row that mentions nj
@@ -379,55 +349,24 @@ class Simplex:
         cols[nj] = set()  # nj becomes basic: no row mentions it afterwards
         for other in touched:
             other_row = rows[other]
-            if type(other_row) is dict:
-                a = other_row.pop(nj, 0)
-                if not a:
-                    continue
-                for j, b in new_row.items():
-                    updated = other_row.get(j, 0) + a * b
-                    if updated == 0:
-                        if j in other_row:
-                            del other_row[j]
-                            cols[j].discard(other)
-                    else:
-                        if j not in other_row:
-                            cols[j].add(other)
-                        other_row[j] = updated
-            else:
-                a = other_row[nj] if nj < len(other_row) else 0
-                if not a:
-                    continue
-                other_row[nj] = 0
-                for j, b in new_row.items():
-                    while j >= len(other_row):
-                        other_row.append(0)
-                    old = other_row[j]
-                    updated = old + a * b
-                    other_row[j] = updated
-                    if updated == 0:
-                        if old != 0:
-                            cols[j].discard(other)
-                    elif old == 0:
+            a = other_row.pop(nj, 0)
+            if not a:
+                continue
+            for j, b in new_row.items():
+                updated = other_row.get(j, 0) + a * b
+                if updated == 0:
+                    if j in other_row:
+                        del other_row[j]
+                        cols[j].discard(other)
+                else:
+                    if j not in other_row:
                         cols[j].add(other)
+                    other_row[j] = updated
         installed = {j: c for j, c in new_row.items() if c != 0}
         rows[nj] = installed
         for j in installed:
             cols[j].add(nj)
-        self._maybe_densify(nj)
         self.pivots += 1
-
-    def _maybe_densify(self, bi: int) -> None:
-        """Convert a high-occupancy sparse row to its dense representation."""
-        row = self._rows[bi]
-        if type(row) is not dict:
-            return
-        nnz = len(row)
-        total = len(self._name)
-        if nnz >= DENSE_MIN_NNZ and nnz >= DENSE_RATIO * total:
-            dense: List[Rational] = [0] * total
-            for j, c in row.items():
-                dense[j] = c
-            self._rows[bi] = dense
 
     def pivots_since(self, baseline: int) -> int:
         """Pivots performed since ``baseline`` (a stashed ``self.pivots``).
@@ -471,17 +410,12 @@ class Simplex:
                     return basic, False
         return None
 
-    def _find_pivot(self, row: Row, need_increase: bool) -> Optional[int]:
+    def _find_pivot(self, row: Dict[int, Rational], need_increase: bool) -> Optional[int]:
         # Bland's rule over the *names* (not the ids): byte-compatible with
         # the historical string-keyed tableau, so pivot sequences — and hence
         # certified conflict cores — are unchanged by the flattening.
-        name = self._name
-        if type(row) is dict:
-            columns = sorted(row, key=name.__getitem__)
-        else:
-            columns = sorted((j for j, c in enumerate(row) if c), key=name.__getitem__)
-        for j in columns:
-            coeff = _row_coeff(row, j)
+        for j in sorted(row, key=self._name.__getitem__):
+            coeff = row[j]
             if need_increase:
                 can_help = (coeff > 0 and self._can_increase(j)) or (
                     coeff < 0 and self._can_decrease(j)
@@ -513,7 +447,7 @@ class Simplex:
     def _pivot_and_update(self, bi: int, nj: int, target: DeltaRational) -> None:
         vreal = self._vreal
         veps = self._veps
-        coeff = _row_coeff(self._rows[bi], nj)
+        coeff = self._rows[bi][nj]
         delta_real = exact_div(target.real - vreal[bi], coeff)
         delta_eps = exact_div(target.eps - veps[bi], coeff)
         vreal[bi] = target.real
@@ -525,8 +459,7 @@ class Simplex:
         for other in self._cols[nj]:
             if other == bi:
                 continue
-            row = rows[other]
-            a = row.get(nj) if type(row) is dict else row[nj]
+            a = rows[other][nj]
             vreal[other] = vreal[other] + delta_real * a
             veps[other] = veps[other] + delta_eps * a
             dirty.add(other)
@@ -544,7 +477,7 @@ class Simplex:
             explanation.add(self._lower[basic].origin)
         else:
             explanation.add(self._upper[basic].origin)
-        for j, coeff in _row_items(self._rows[basic]):
+        for j, coeff in self._rows[basic].items():
             helps_by_increasing = (coeff > 0) == need_increase
             if helps_by_increasing:
                 bound = self._upper[j]
@@ -731,7 +664,7 @@ class BacktrackableSimplex(Simplex):
             and upper[vid] is None
         ]
         for vid in stale:
-            for j, _ in _row_items(rows.pop(vid)):
+            for j in rows.pop(vid):
                 cols[j].discard(vid)
             self._dirty.discard(vid)
         self._retired.update(stale)
@@ -847,26 +780,6 @@ class BacktrackableSimplex(Simplex):
             if veps[vid] != 0 or vreal[vid].denominator != 1:
                 self._update_nonbasic(vid, 0, 0)
 
-    def restricted_delta(self) -> Rational:
-        """A concrete value for the infinitesimal, from bounded variables only.
-
-        Only variables carrying a bound constrain how large delta may be;
-        on a persistent tableau this skips the (stale) majority."""
-        return self._concrete_delta()
-
-    def restricted_model(self, names) -> Dict[str, Rational]:
-        """Concretised values of ``names`` (variables the caller cares about)."""
-        delta = self.restricted_delta()
-        vid_of = self._id
-        vreal = self._vreal
-        veps = self._veps
-        model: Dict[str, Rational] = {}
-        for name in names:
-            vid = vid_of.get(name)
-            if vid is not None:
-                model[name] = vreal[vid] + veps[vid] * delta
-        return model
-
     def check_integer(
         self,
         int_vars: Set[str],
@@ -907,7 +820,7 @@ class BacktrackableSimplex(Simplex):
                     # core refutes the whole query, branching or not
                     return "unsat", conflict, None
                 return "unsat", None, None
-            delta = self.restricted_delta()
+            delta = self._concrete_delta()
             fractional: Optional[Tuple[str, Rational]] = None
             for name, vid in ordered_int_vars:
                 concrete = vreal[vid] + veps[vid] * delta

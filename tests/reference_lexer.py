@@ -1,9 +1,12 @@
 """The character-at-a-time MiniRust lexer, kept as a test oracle.
 
 This is the loop :func:`repro.lang.lexer.tokenize` ran before it became
-one compiled pattern, with ``yield`` in place of ``append`` so that a test
-sees the tokens produced before a :class:`LexError`.  Tokens are plain
-``(kind, text, line, column)`` tuples.
+one compiled pattern, with two changes: ``yield`` in place of ``append``,
+so that a test sees the tokens produced before a :class:`LexError`, and
+positions advanced one character at a time over comments and string
+literals, so that a comment moves the column and a string literal's
+newlines move the line.  Tokens are plain ``(kind, text, line, column)``
+tuples.
 
 It differs from today's lexer in one place on purpose: it reads a number
 with ``str.isdigit()``, so ``²`` or ``١٢`` become number tokens, where
@@ -15,6 +18,17 @@ from typing import Iterator, Tuple
 from repro.lang.lexer import KEYWORDS, OPERATORS, LexError
 
 RefToken = Tuple[str, str, int, int]
+
+
+def _advance(text: str, line: int, column: int) -> Tuple[int, int]:
+    """The position just after ``text``, which starts at ``line``:``column``."""
+    for char in text:
+        if char == "\n":
+            line += 1
+            column = 1
+        else:
+            column += 1
+    return line, column
 
 
 def reference_tokens(source: str) -> Iterator[RefToken]:
@@ -39,13 +53,13 @@ def reference_tokens(source: str) -> Iterator[RefToken]:
         if source.startswith("//", index):
             while index < length and source[index] != "\n":
                 index += 1
+                column += 1
             continue
         if source.startswith("/*", index):
             end = source.find("*/", index + 2)
             if end == -1:
                 raise LexError(f"unterminated block comment at line {line}")
-            skipped = source[index : end + 2]
-            line += skipped.count("\n")
+            line, column = _advance(source[index : end + 2], line, column)
             index = end + 2
             continue
 
@@ -88,7 +102,7 @@ def reference_tokens(source: str) -> Iterator[RefToken]:
                 raise LexError(f"unterminated string literal at line {line}")
             index += 1
             yield ("string", source[start:index], line, column)
-            column += index - start
+            line, column = _advance(source[start:index], line, column)
             continue
 
         matched = None

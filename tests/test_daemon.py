@@ -3,6 +3,7 @@ graceful drain, worker-subprocess isolation, and the CLI thin-client
 fallback."""
 
 import asyncio
+import dataclasses
 import json
 import socket
 import threading
@@ -171,6 +172,7 @@ class TestQueueWorkers:
                 await asyncio.sleep(0.01)
             assert slow.state == "failed"
             assert slow.error["kind"] == "TIMEOUT"
+            assert (slow.request.source, slow.request.extra_sources) == ("", ())
             assert pool.retired_total == 1
             assert pool.warm == 1
             fast, _ = queue.submit(JobRequest(source=INC, name="fast"))
@@ -248,9 +250,12 @@ class TestQueueWorkers:
             # The backlog is failed immediately — shutdown does not run it.
             assert second.state == "failed"
             assert second.error["kind"] == "SHUTTING_DOWN"
+            assert second.request.source == ""
+            assert first.request.source == INC  # still running: sources kept
             assert not stopper.done()  # bounded by the one in-flight job
             await asyncio.wait_for(stopper, timeout=10.0)
             assert first.state == "done"
+            assert first.request.source == ""
             assert queue.quotas.snapshot() == {}  # every slot released
 
         with faults.inject_faults(plan):
@@ -288,6 +293,26 @@ class TestDaemonEndToEnd:
         assert body == json.dumps(record.to_dict()).encode("utf-8")
         assert json.loads(body)["report"] == record.report
         assert record.report["functions"][0]["diagnostics"]
+
+    def test_finished_record_drops_its_sources(self):
+        # A finished job's record keeps only what is read after the job: the
+        # name, the tenant and the content key.  The body GET /jobs/<id>
+        # serves is the one the record gave with its sources, and the same
+        # content still deduplicates onto it.
+        with run_daemon() as daemon:
+            job_id = client.submit(daemon.url, BAD, name="big", extra_sources=[INC])
+            client.wait(daemon.url, job_id)
+            with urllib.request.urlopen(f"{daemon.url}/jobs/{job_id}", timeout=10) as response:
+                body = response.read()
+            record = daemon.daemon.queue.get(job_id)
+            assert record.state == "done"
+            assert (record.request.source, record.request.extra_sources) == ("", ())
+            with_sources = dataclasses.replace(
+                record, request=JobRequest(source=BAD, name="big", extra_sources=(INC,))
+            )
+            assert body == with_sources.to_json().encode("utf-8")
+            assert client.submit(daemon.url, BAD, name="big", extra_sources=[INC]) == job_id
+            assert client.status(daemon.url, job_id)["duplicates"] == 1
 
     def test_duplicate_submission_returns_same_job_id(self):
         with run_daemon() as daemon:

@@ -32,6 +32,18 @@ class TestLexer:
         tokens = tokenize("a\nb\nc")
         assert [t.line for t in tokens[:3]] == [1, 2, 3]
 
+    @pytest.mark.parametrize(
+        "source, positions",
+        [
+            ("/* note */ x", [("x", 1, 12), ("", 1, 13)]),
+            ("/* a\nbc */ x", [("x", 2, 7), ("", 2, 8)]),
+            ('"a\nb" x\ny', [('"a\nb"', 1, 1), ("x", 2, 4), ("y", 3, 1), ("", 3, 2)]),
+            ("x // c", [("x", 1, 1), ("", 1, 7)]),
+        ],
+    )
+    def test_positions_after_comments_and_multiline_strings(self, source, positions):
+        assert [(t.text, t.line, t.column) for t in tokenize(source)] == positions
+
     def test_attribute_token(self):
         tokens = tokenize("#[flux::sig(fn())]")
         assert tokens[0].text == "#["

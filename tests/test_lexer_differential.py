@@ -135,7 +135,9 @@ def _attribute_texts():
                 yield attr.tokens
 
 
-ODD_TEXTS = ["", " ", "a b", "//", "/*", "\n", "é", "²", '"x', '"a b"', "1.5", "x1", "==>"]
+ODD_TEXTS = [
+    "", " ", "a b", "//", "/*", "\n", "é", "²", '"x', '"a b"', '"a\nb"', "1.5", "x1", "==>",
+]
 
 
 def test_spec_texts_read_as_their_joined_tokens():

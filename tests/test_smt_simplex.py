@@ -1,5 +1,6 @@
 """Unit tests for the exact simplex and the LIA branch-and-bound layer."""
 
+import operator
 import random
 from fractions import Fraction
 
@@ -149,6 +150,68 @@ class TestSimplexFeasibility:
         assert model["b"] + model["c"] >= 2
         assert model["a"] >= 0
         assert model["c"] <= 10
+
+
+def _dense_system(seed, names=56, rows=24):
+    """``rows`` constraints over ``names`` variables, each with 48 or more
+    nonzero coefficients of magnitude 2..9, all satisfied by one random
+    integer point; returns ``(constraints, point)``."""
+    rng = random.Random(seed)
+    variables = [f"x{i}" for i in range(names)]
+    point = {name: rng.randint(-5, 5) for name in variables}
+    constraints = []
+    for _ in range(rows):
+        chosen = rng.sample(variables, rng.randint(48, names))
+        coeffs = {name: rng.choice([-1, 1]) * rng.randint(2, 9) for name in chosen}
+        value = sum(coeff * point[name] for name, coeff in coeffs.items())
+        op = rng.choice(["<=", "<", "=", ">=", ">"])
+        gap = rng.randint(1 if op in ("<", ">") else 0, 3)
+        if op == "=":
+            gap = 0
+        elif op in (">=", ">"):
+            gap = -gap
+        constraints.append(Constraint(coeffs, op, value + gap))
+    return constraints, point
+
+
+_COMPARE = {"<=": operator.le, "<": operator.lt, "=": operator.eq, ">=": operator.ge, ">": operator.gt}
+
+
+def _holds(constraint, model):
+    lhs = sum(Fraction(coeff) * model.get(name, 0) for name, coeff in constraint.coeffs.items())
+    return _COMPARE[constraint.op](lhs, constraint.bound)
+
+
+class TestDenseRows:
+    """Rows far denser than refinement checking builds: every constraint
+    has at least 48 nonzero, non-unit coefficients."""
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_feasible_model_satisfies_every_constraint(self, seed):
+        constraints, point = _dense_system(seed)
+        assert all(_holds(constraint, point) for constraint in constraints)
+        result = check_constraints(constraints)
+        assert result.satisfiable
+        assert all(_holds(constraint, result.model) for constraint in constraints)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_infeasible_conflict_is_infeasible_on_its_own(self, seed):
+        constraints, _ = _dense_system(seed)
+        # Sum three constraints, each read as an upper bound ``a.x <= b``,
+        # and demand the sum exceed the summed bounds.
+        total = {}
+        limit = 0
+        for constraint in constraints[:3]:
+            sign = -1 if constraint.op in (">=", ">") else 1
+            for name, coeff in constraint.coeffs.items():
+                total[name] = total.get(name, 0) + sign * coeff
+            limit += sign * constraint.bound
+        constraints.append(Constraint(total, ">", limit))
+        result = check_constraints(constraints)
+        assert not result.satisfiable
+        core = sorted(result.conflict)
+        assert len(constraints) - 1 in core
+        assert not check_constraints([constraints[i] for i in core]).satisfiable
 
 
 class TestLia:

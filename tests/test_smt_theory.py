@@ -35,7 +35,7 @@ from repro.smt.atoms import LinearAtom, LinTerm, atom_constraint
 from repro.smt.incremental import solve_formula
 from repro.smt.lia import check_lia
 from repro.smt.sat import SatSolver
-from repro.smt.simplex import BacktrackableSimplex, DeltaRational, _row_items
+from repro.smt.simplex import BacktrackableSimplex, DeltaRational
 from repro.smt.theory import TheorySolver, TheoryUnknown
 
 
@@ -458,7 +458,7 @@ class TestRowRetirement:
 
         def row_and_value(simplex):
             vid = simplex._id[s1]
-            row = {simplex._name[j]: c for j, c in _row_items(simplex._rows[vid])}
+            row = {simplex._name[j]: c for j, c in simplex._rows[vid].items()}
             return row, simplex._vreal[vid], simplex._veps[vid]
 
         assert retiring.pivots == twin.pivots == 1
