@@ -30,7 +30,6 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 from repro.lang import ast
 from repro.logic.expr import (
     binop,
-    BinOp,
     BoolConst,
     Expr,
     FALSE,
@@ -44,13 +43,12 @@ from repro.logic.expr import (
     lt,
     not_,
 )
-from repro.logic.sorts import BOOL, INT, Sort
+from repro.logic.sorts import INT, Sort
 from repro.logic.subst import substitute
 from repro.fixpoint.constraint import (
     Constraint,
     KVarDecl,
     attach_span,
-    c_conj,
     c_forall,
     c_pred,
 )
@@ -101,7 +99,7 @@ from repro.core.rtypes import (
     subst_type_params,
     unrefined,
 )
-from repro.core.subtyping import bases_compatible, subtype
+from repro.core.subtyping import subtype
 
 
 @dataclass

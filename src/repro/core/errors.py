@@ -16,7 +16,7 @@ and the on-disk result cache.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Dict, Optional, Tuple, Union
 
 from repro.fixpoint.solve import FAULT_KINDS
@@ -113,6 +113,14 @@ class Diagnostic:
         if self.counterexample:
             text += f" [counterexample: {self.counterexample}]"
         return text
+
+    def moved(self, lines: int) -> "Diagnostic":
+        """This diagnostic with its spans ``lines`` lines further down."""
+        return replace(
+            self,
+            span=self.span.moved(lines) if self.span is not None else None,
+            sig_span=self.sig_span.moved(lines) if self.sig_span is not None else None,
+        )
 
     def to_dict(self) -> Dict[str, object]:
         payload: Dict[str, object] = {

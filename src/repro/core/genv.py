@@ -10,7 +10,7 @@ syntactically unifiable index positions, which the elaborator enforces).
 from __future__ import annotations
 
 import dataclasses
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.lang import ast
@@ -28,7 +28,7 @@ from repro.lang.specs import (
     parse_variant_sig,
 )
 from repro.logic.expr import Expr, TRUE, Var
-from repro.logic.sorts import BOOL, INT, Sort
+from repro.logic.sorts import INT, Sort
 from repro.logic.subst import substitute
 from repro.core.errors import FluxError
 from repro.core.rtypes import (
@@ -37,7 +37,6 @@ from repro.core.rtypes import (
     BTFloat,
     BTInt,
     BTParam,
-    BTUnit,
     BaseTy,
     RExists,
     RIndexed,
@@ -48,6 +47,9 @@ from repro.core.rtypes import (
     unrefined,
 )
 
+
+#: What :meth:`GlobalEnv.function_dependencies` returns: ``(callees, adts)``.
+Dependencies = Tuple[Tuple[str, ...], Tuple[str, ...]]
 
 INT_TYPE_NAMES = {"i8", "i16", "i32", "i64", "i128", "isize", "u8", "u16", "u32", "u64", "u128", "usize"}
 FLOAT_TYPE_NAMES = {"f32", "f64"}
@@ -118,6 +120,18 @@ class GlobalEnv:
     def __init__(self) -> None:
         self.signatures: Dict[str, FluxSignature] = {}
         self.adts: Dict[str, AdtInfo] = {}
+        #: The definition each program signature was elaborated from, and
+        #: the struct and enum items registered, in order: what a later
+        #: environment compares against to reuse this one's signatures.
+        self._defined: Dict[str, ast.FnDef] = {}
+        self._adt_items: Tuple[object, ...] = ()
+        #: Signature names by their last ``::`` segment, for method
+        #: resolution, and each function's dependencies by definition
+        #: identity, ``id(fn) -> (fn, (callees, adts))``.  Both read only
+        #: the signature and ADT names: they are built on demand and
+        #: dropped whenever a signature or an ADT is registered.
+        self._by_method: Optional[Dict[str, List[str]]] = None
+        self._dependencies: Dict[int, Tuple[ast.FnDef, Dependencies]] = {}
         self._register_builtin_adts()
         self._register_builtin_signatures()
 
@@ -139,6 +153,8 @@ class GlobalEnv:
         self.adts["Box"] = AdtInfo("Box", "struct", ("T",), ())
 
     def _register_builtin_signatures(self) -> None:
+        """Register the built-in signatures, elaborated once per process:
+        they read only the built-in ADTs, which every environment has."""
         builtins = {
             # Fig. 3: the refined vector API.
             "RVec::new": ("fn() -> RVec<T>[0]", ("T",)),
@@ -169,22 +185,70 @@ class GlobalEnv:
             "swap": ("fn(x: &mut T, y: &mut T)", ("T",)),
             "Box::new": ("fn(value: T) -> Box<T>", ("T",)),
         }
-        for name, (sig_source, generics) in builtins.items():
-            tokens = tuple(t.text for t in _tokenize_sig(sig_source))
-            sig_ast = parse_flux_sig(tokens)
-            self.signatures[name] = self.elaborate_signature(
-                name, sig_ast, generics=generics, rust_params=None, trusted=True
-            )
+        global _BUILTIN_SIGNATURES
+        if _BUILTIN_SIGNATURES is None:
+            elaborated = {}
+            for name, (sig_source, generics) in builtins.items():
+                tokens = tuple(t.text for t in _tokenize_sig(sig_source))
+                sig_ast = parse_flux_sig(tokens)
+                elaborated[name] = self.elaborate_signature(
+                    name, sig_ast, generics=generics, rust_params=None, trusted=True
+                )
+            _BUILTIN_SIGNATURES = elaborated
+        self.signatures.update(_BUILTIN_SIGNATURES)
 
     # -- program registration ---------------------------------------------------
 
-    def register_program(self, program: ast.Program) -> None:
-        for struct in program.structs:
-            self.register_struct(struct)
-        for enum in program.enums:
-            self.register_enum(enum)
+    def register_program(self, program: ast.Program, previous: Optional["GlobalEnv"] = None) -> None:
+        """Register a program's ADTs, then its function signatures.
+
+        ``previous``, the environment of an earlier version of the program,
+        lends its elaborated ADTs and signatures while they cannot differ:
+        when every struct and enum item registered is the same object as in
+        ``previous``, each function that is the same object as the one
+        ``previous`` elaborated keeps that signature.  When the two end up
+        with the same signature and ADT names, each function that is the
+        same object as one whose dependencies ``previous`` found keeps them.
+        """
+        self._adt_items += program.structs + program.enums
+        self._names_changed()
+        reused: Dict[str, ast.FnDef] = {}
+        if previous is not None and self._shares_adts(previous):
+            self.adts.update(previous.adts)
+            reused = previous._defined
+        else:
+            for struct in program.structs:
+                self.register_struct(struct)
+            for enum in program.enums:
+                self.register_enum(enum)
         for fn in program.functions:
-            self.register_function(fn)
+            if reused.get(fn.name) is fn:
+                self.signatures[fn.name] = previous.signatures[fn.name]
+                self._defined[fn.name] = fn
+            else:
+                self.register_function(fn)
+        if (
+            previous is not None
+            and self.signatures.keys() == previous.signatures.keys()
+            and self.adts.keys() == previous.adts.keys()
+        ):
+            known = previous._dependencies
+            for fn in program.functions:
+                entry = known.get(id(fn))
+                if entry is not None and entry[0] is fn:
+                    self._dependencies[id(fn)] = entry
+
+    def _names_changed(self) -> None:
+        """Drop what was derived from the signature and ADT names."""
+        self._by_method = None
+        if self._dependencies:
+            self._dependencies = {}
+
+    def _shares_adts(self, other: "GlobalEnv") -> bool:
+        """Whether ``other`` registered the very same struct and enum items
+        (the same objects, in the same order) through ``register_program``."""
+        mine, theirs = self._adt_items, other._adt_items
+        return len(mine) == len(theirs) and all(a is b for a, b in zip(mine, theirs))
 
     def register_struct(self, struct: ast.StructDef) -> None:
         refined_by: Tuple[Tuple[str, Sort], ...] = ()
@@ -192,6 +256,7 @@ class GlobalEnv:
             if attr.name in ("flux::refined_by", "refined_by"):
                 refined_by = parse_refined_by(attr.tokens)
         # Register the ADT shell first so field types can mention it.
+        self._names_changed()
         self.adts[struct.name] = AdtInfo(struct.name, "struct", struct.generics, refined_by)
         fields: List[Tuple[str, RType]] = []
         for field_def in struct.fields:
@@ -212,6 +277,7 @@ class GlobalEnv:
         for attr in enum.attrs:
             if attr.name in ("flux::refined_by", "refined_by"):
                 refined_by = parse_refined_by(attr.tokens)
+        self._names_changed()
         self.adts[enum.name] = AdtInfo(enum.name, "enum", enum.generics, refined_by)
         variants: List[VariantInfo] = []
         for variant in enum.variants:
@@ -265,6 +331,8 @@ class GlobalEnv:
         else:
             signature = self.default_signature(fn, trusted)
         self.signatures[fn.name] = signature
+        self._defined[fn.name] = fn
+        self._names_changed()
 
     # -- elaboration -----------------------------------------------------------------
 
@@ -436,7 +504,7 @@ class GlobalEnv:
 
     # -- dependency extraction ----------------------------------------------------------
 
-    def function_dependencies(self, fn: ast.FnDef) -> Tuple[Tuple[str, ...], Tuple[str, ...]]:
+    def function_dependencies(self, fn: ast.FnDef) -> Dependencies:
         """Names a function's verification depends on: ``(callees, adts)``.
 
         Verification is modular — checking ``fn`` consults only the
@@ -447,8 +515,14 @@ class GlobalEnv:
 
         Method calls are resolved conservatively: ``x.len()`` depends on every
         registered ``Path::len`` signature, since the receiver type is only
-        known after type inference.
+        known after type inference.  The signatures are looked up by their
+        last path segment, in an index built once per set of signatures.
+        The answer is remembered per definition until a signature or an ADT
+        is registered.
         """
+        entry = self._dependencies.get(id(fn))
+        if entry is not None and entry[0] is fn:
+            return entry[1]
         callees: set = set()
         adts: set = set()
         methods: set = set()
@@ -540,18 +614,24 @@ class GlobalEnv:
             for token in attr.tokens:
                 if token in self.adts:
                     adts.add(token)
-        for method in methods:
-            suffix = f"::{method}"
+        by_method = self._by_method
+        if by_method is None and methods:
+            by_method = self._by_method = {}
             for name in self.signatures:
-                if name.endswith(suffix):
-                    callees.add(name)
-                    owner = name.split("::", 1)[0]
-                    if owner in self.adts:
-                        adts.add(owner)
+                if "::" in name:
+                    by_method.setdefault(name.rsplit("::", 1)[1], []).append(name)
+        for method in methods:
+            for name in by_method.get(method, ()):
+                callees.add(name)
+                owner = name.split("::", 1)[0]
+                if owner in self.adts:
+                    adts.add(owner)
             if method in self.signatures:
                 callees.add(method)
         callees.discard(fn.name)
-        return tuple(sorted(callees)), tuple(sorted(adts))
+        dependencies = tuple(sorted(callees)), tuple(sorted(adts))
+        self._dependencies[id(fn)] = (fn, dependencies)
+        return dependencies
 
     # -- queries -----------------------------------------------------------------------
 
@@ -566,6 +646,10 @@ class GlobalEnv:
         if info is None:
             raise FluxError(f"unknown ADT {name!r}")
         return info
+
+
+#: The elaborated built-in signatures, shared by every environment.
+_BUILTIN_SIGNATURES: Optional[Dict[str, FluxSignature]] = None
 
 
 def _tokenize_sig(source: str):

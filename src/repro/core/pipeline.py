@@ -31,6 +31,7 @@ from repro.fixpoint.solve import FAULT_KINDS
 from repro.core.checker import Checker
 from repro.core.errors import Counterexample, Diagnostic, FluxError
 from repro.core.genv import GlobalEnv
+from repro.core.rtypes import function_fresh_names
 from repro.diagnostics.counterexample import counterexample_from_model
 from repro.obs import current_obs, span as obs_span
 from repro.smt import SmtContext, use_context
@@ -170,11 +171,13 @@ def _verify_function(
     The result's ``metrics`` are the non-zero counter deltas of the ambient
     metrics registry across this call.  The service scheduler calls it
     inside its fault boundary, in process or in a forked worker that
-    inherits the elaborated program.
+    inherits the elaborated program.  Fresh binder names come from a
+    counter of this call's own, so verifying the same function again
+    builds the same terms.
     """
     registry = current_obs().registry
     before = registry.counter_values()
-    with use_context(smt_context):
+    with use_context(smt_context), function_fresh_names():
         result = _verify_function_in_context(fn, genv, rust_context)
     result.metrics = {
         name: value - before.get(name, 0)

@@ -17,11 +17,13 @@ The type grammar follows §3.1 of the paper, adapted to the MIR setting:
 from __future__ import annotations
 
 import itertools
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from repro.logic.expr import Expr, TRUE, Var
-from repro.logic.sorts import BOOL, INT, REAL, Sort
+from repro.logic.sorts import BOOL, INT, Sort
 from repro.logic.subst import substitute
 
 
@@ -181,21 +183,51 @@ UNINIT = RUninit()
 
 _FRESH = itertools.count(1)
 
+#: The counter of the function being verified, if any (see
+#: :func:`function_fresh_names`).
+_FUNCTION_FRESH: "ContextVar[Optional[Iterator[int]]]" = ContextVar(
+    "repro_function_fresh", default=None
+)
+
 
 def fresh_name(hint: str = "a") -> str:
-    return f"{hint}%{next(_FRESH)}"
+    """A binder name no other name of the same scope has.
+
+    Inside :func:`function_fresh_names` the name is ``hint%f<n>``, counted
+    per function; elsewhere (signature and ADT elaboration) it is
+    ``hint%<n>`` from a process-wide counter.  The two forms never meet.
+    """
+    counter = _FUNCTION_FRESH.get()
+    if counter is None:
+        return f"{hint}%{next(_FRESH)}"
+    return f"{hint}%f{next(counter)}"
+
+
+@contextmanager
+def function_fresh_names() -> Iterator[None]:
+    """Draw fresh names from a new per-function counter until exit.
+
+    The names a function's verification makes then depend only on that
+    function, so verifying it again, in the same process or another one,
+    builds the same terms (and re-interns none).
+    """
+    token = _FUNCTION_FRESH.set(itertools.count(1))
+    try:
+        yield
+    finally:
+        _FUNCTION_FRESH.reset(token)
 
 
 def reset_fresh_names() -> None:
-    """Restart the fresh-name counter.
+    """Restart the process-wide fresh-name counter.
 
-    Tests and benchmarks only: binder names feed the solver's variable
-    ordering, so resetting before a verification makes its diagnostics (in
-    particular the golden-file counterexample valuations) independent of
-    whatever ran earlier in the process, and a repeated verification
-    reuses the interned terms of the first.  Never call this
-    mid-verification — uniqueness of fresh names within one checker run
-    depends on the counter not rewinding.
+    That counter names only the binders of elaborated signatures and ADTs;
+    the names made while verifying a function come from the function's own
+    counter (:func:`function_fresh_names`) and do not depend on this.
+    Tests and benchmarks reset it so that signature binder names, which
+    feed the solver's variable ordering, are the same whatever ran earlier
+    in the process.  Never call this mid-elaboration: uniqueness of the
+    names within one environment depends on the counter not rewinding.
     """
     global _FRESH
     _FRESH = itertools.count(1)

@@ -9,9 +9,9 @@ no SMT query happens here — that is the job of the inference phase.
 
 from __future__ import annotations
 
-from typing import List, Tuple
+from typing import List
 
-from repro.logic.expr import Expr, FALSE, TRUE, Var, and_, eq
+from repro.logic.expr import Expr, FALSE, TRUE, Var, eq
 from repro.fixpoint.constraint import Constraint, c_conj, c_forall, c_pred
 from repro.core.rtypes import (
     BTAdt,

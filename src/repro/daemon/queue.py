@@ -376,7 +376,7 @@ class JobQueue:
                 status = outcome.get("status")
                 if status == "ok":
                     self.pool.release(worker)
-                    record.report_json = outcome["report_json"]
+                    record.report_zlib = outcome["report_zlib"]
                     record.state = "done"
                     self._counter(
                         "daemon.jobs.completed", "jobs verified to completion"

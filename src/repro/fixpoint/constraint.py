@@ -10,7 +10,7 @@ either a concrete predicate or an application of a κ variable.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Tuple, Union
 
 from repro.lang.span import Span
 from repro.logic.expr import Expr, KVar, TRUE

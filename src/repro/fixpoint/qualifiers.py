@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
-from repro.logic.expr import BinOp, Expr, Var, add, sub, binop
+from repro.logic.expr import Expr, Var, add, sub, binop
 from repro.logic.sorts import BOOL, INT, Sort
 from repro.logic.subst import substitute
 from repro.fixpoint.constraint import KVarDecl

@@ -72,7 +72,6 @@ from repro.smt import (
     IncrementalSolver,
     SatResult,
     SmtError,
-    is_valid,
     validity_answer,
 )
 from repro.smt.quant import has_quantifier

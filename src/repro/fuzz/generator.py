@@ -27,7 +27,7 @@ reproducible from their seeds alone.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from random import Random
 from typing import Callable, Dict, List, Optional, Tuple
 

@@ -146,11 +146,12 @@ def _overrides(strategy: Optional[str], engine: Optional[str]) -> Iterator[None]
         solver_mod.DEFAULT_ENGINE = old_engine
 
 
-_FRESH_INDEX = re.compile(r"%\d+")
+_FRESH_INDEX = re.compile(r"%f?\d+")
 
 
 def _normalise(text: str) -> str:
-    """Blank out fresh-variable indices (``v%10`` → ``v%_``).
+    """Blank out fresh-variable indices (``v%10`` and the per-function
+    ``v%f3`` → ``v%_``).
 
     Fresh names are allocated in visit order, which the weakening strategy
     is free to change; two pipelines reporting the *same* refutation can

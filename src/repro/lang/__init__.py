@@ -10,7 +10,7 @@ Prusti-style ``requires``/``ensures``/``body_invariant!`` annotations.
 """
 
 from repro.lang.lexer import LexError, Token, tokenize
-from repro.lang.parser import ParseError, parse_program
+from repro.lang.parser import ParseError, parse_program, split_items
 from repro.lang.ast import Program
 from repro.lang.span import Span, merge_spans
 
@@ -20,6 +20,7 @@ __all__ = [
     "tokenize",
     "ParseError",
     "parse_program",
+    "split_items",
     "Program",
     "Span",
     "merge_spans",

@@ -9,7 +9,7 @@ method calls on the vector API, struct literals and matches.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import Optional, Tuple
 
 from repro.lang.span import Span
 

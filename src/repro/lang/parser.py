@@ -7,6 +7,7 @@ tests.
 
 from __future__ import annotations
 
+import re
 from typing import List, Optional, Tuple
 
 from repro.lang.ast import (
@@ -66,6 +67,42 @@ def parse_program(source: str) -> Program:
     return parser.program()
 
 
+_ITEM_END = re.compile(r"[};][ \t\r]*\n")
+
+
+def split_items(source: str) -> List[Tuple[int, str]]:
+    r"""Cut ``source`` into runs of whole lines: ``(lines before, text)`` pairs.
+
+    A cut falls at a line start where the text since the previous cut has
+    balanced braces and, bar trailing blanks, ends in ``}`` or ``;``, so
+    each run normally holds whole top-level items.  The texts join back
+    into ``source``.  When every run lexes and parses on its own, the
+    parses are those of the whole source, each item's lines counted from
+    its run's first line: every token that can span lines (a string or a
+    block comment) cut in two leaves a run that does not lex, and no item
+    rule looks past the ``}`` or ``;`` that ends the item.  A run that
+    fails says nothing about the whole source, which must then be parsed
+    whole.
+
+    >>> split_items("fn a() {\n}\n\nfn b() {}\n")
+    [(0, 'fn a() {\n}\n'), (2, '\nfn b() {}\n')]
+    """
+    pieces: List[Tuple[int, str]] = []
+    start = scanned = lines = depth = 0
+    count = source.count
+    for match in _ITEM_END.finditer(source):
+        end = match.end()
+        depth += count("{", scanned, end) - count("}", scanned, end)
+        scanned = end
+        if depth == 0:
+            pieces.append((lines, source[start:end]))
+            lines += count("\n", start, end)
+            start = end
+    if start < len(source) or not pieces:
+        pieces.append((lines, source[start:]))
+    return pieces
+
+
 class _Parser:
     def __init__(self, stream: TokenStream) -> None:
         self.ts = stream
@@ -96,6 +133,8 @@ class _Parser:
                 functions.extend(self.impl_block())
             elif self.ts.at("use"):
                 while not self.ts.accept(";"):
+                    if self.ts.at_kind("eof"):
+                        self.ts.expect(";")
                     self.ts.next()
             else:
                 raise ParseError(

@@ -49,6 +49,10 @@ class Span:
         end = max((self.end_line, self.end_column), (other.end_line, other.end_column))
         return Span(start[0], start[1], end[0], end[1])
 
+    def moved(self, lines: int) -> "Span":
+        """The same region ``lines`` lines further down."""
+        return Span(self.line + lines, self.column, self.end_line + lines, self.end_column)
+
     def to_dict(self) -> Dict[str, int]:
         return {
             "line": self.line,

@@ -18,8 +18,8 @@ column it has in the texts joined by spaces (see
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple, Union
+from dataclasses import dataclass
+from typing import List, Optional, Sequence, Tuple
 
 from repro.lang.lexer import TokenStream, tokenize_texts
 from repro.lang.parser import ParseError
@@ -27,18 +27,15 @@ from repro.logic.expr import (
     binop,
     unary,
     App,
-    BinOp,
     BoolConst,
     Expr,
     Forall,
     IntConst,
-    UnaryOp,
     Var,
-    and_,
     implies,
     not_,
 )
-from repro.logic.sorts import BOOL, INT, REAL, Sort, sort_from_name
+from repro.logic.sorts import BOOL, INT, REAL, Sort
 
 
 # ---------------------------------------------------------------------------

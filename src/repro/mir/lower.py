@@ -10,7 +10,7 @@ knows where to look for ``body_invariant!`` annotations).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from repro.lang import ast
 from repro.lang.span import Span

@@ -27,8 +27,6 @@ from repro.mir.ir import (
     BinRv,
     Body,
     CallTerm,
-    ConstOperand,
-    Goto,
     Operand,
     Place,
     PlaceOperand,

@@ -12,7 +12,7 @@ the evaluation.
 from __future__ import annotations
 
 import itertools
-from typing import List, Tuple
+from typing import List
 
 from repro.logic.expr import App, Expr, Forall, Var, and_, eq, ge, implies, lt, ne
 from repro.logic.sorts import INT

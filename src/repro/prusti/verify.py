@@ -40,7 +40,6 @@ from repro.logic.expr import (
     CMP_OPS,
     Ite,
     Var,
-    and_,
     eq,
     ge,
     implies,

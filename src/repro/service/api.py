@@ -5,10 +5,13 @@ cache, and the parallel scheduler.  Each :class:`VerifyJob` is one program
 (a source plus optional library sources); :func:`verify_jobs` runs many of
 them against a shared :class:`VerifySession` and returns a structured
 :class:`ServiceReport` that serialises to JSON for the CLI and for clients.
+A session's next job re-parses and re-elaborates only the items that
+changed since its last job (:func:`parse_program`, :func:`verify_job`).
 """
 
 from __future__ import annotations
 
+import dataclasses
 import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -21,12 +24,12 @@ from repro.core.pipeline import (
     is_fault_result,
     merge_programs,
 )
-from repro.lang import LexError, ParseError, parse_program
+from repro.lang import LexError, ParseError, ast, parser, split_items
 from repro.mir.typeinfer import ProgramTypes
 from repro.obs import span as obs_span
 from repro.service.cache import KeyTables, function_key
 from repro.service.scheduler import TOO_DEEP, verify_functions
-from repro.service.session import VerifySession
+from repro.service.session import ItemMemo, VerifySession
 
 
 @dataclass(frozen=True)
@@ -186,18 +189,63 @@ def verify_job(job: VerifyJob, session: VerifySession) -> JobReport:
             )
 
 
+def parse_program(
+    source: str, memo: ItemMemo, extra_sources: Sequence[str] = ()
+) -> Tuple[ast.Program, List[int]]:
+    """A job's front end: ``extra_sources`` then ``source``, parsed into one
+    program, reusing the last job's items (the parse step perfbench times
+    as ``lang.parse``).
+
+    Each source is cut into item runs (:func:`repro.lang.split_items`); a
+    run whose text the last job also had keeps that job's parse, and any
+    other run is parsed alone (:func:`repro.lang.parse_program`).  Returns
+    the merged program and, for each of its functions, the lines to add to
+    its line numbers (its run's offset in its source).  When a run does
+    not lex or parse, the whole source is parsed instead, so an error is
+    always the whole source's.
+    """
+    items: Dict[str, ast.Program] = {}
+    programs: List[ast.Program] = []
+    offsets: List[int] = []
+    known = memo.items
+    for text in (*extra_sources, source):
+        parsed: List[ast.Program] = []
+        lines_before: List[int] = []
+        try:
+            for lines, piece in split_items(text):
+                program = known.get(piece) or items.get(piece) or parser.parse_program(piece)
+                items[piece] = program
+                parsed.append(program)
+                lines_before += [lines] * len(program.functions)
+        except (LexError, ParseError, RecursionError):
+            parsed = [parser.parse_program(text)]
+            lines_before = [0] * len(parsed[0].functions)
+        programs += parsed
+        offsets += lines_before
+    memo.items = items
+    return merge_programs(programs), offsets
+
+
+def _moved(result: FunctionResult, lines: int) -> FunctionResult:
+    """``result`` with every diagnostic span ``lines`` lines further down."""
+    if not lines or not result.diagnostics:
+        return result
+    return dataclasses.replace(
+        result, diagnostics=[diag.moved(lines) for diag in result.diagnostics]
+    )
+
+
 def _verify_job_active(job: VerifyJob, session: VerifySession) -> JobReport:
     started = time.perf_counter()
     hits_before = session.cache.hits
     misses_before = session.cache.misses
+    memo = session.memo
     try:
         with obs_span("parse", job=job.name):
-            program = merge_programs(
-                [parse_program(text) for text in (*job.extra_sources, job.source)]
-            )
+            program, offsets = parse_program(job.source, memo, job.extra_sources)
         with obs_span("spec_elaboration", job=job.name):
             genv = GlobalEnv()
-            genv.register_program(program)
+            genv.register_program(program, previous=memo.genv)
             rust_context = ProgramTypes.from_program(program)
     except (FluxError, ParseError, LexError) as error:
         return JobReport(
@@ -211,32 +259,37 @@ def _verify_job_active(job: VerifyJob, session: VerifySession) -> JobReport:
         )
 
     # Split targets into trusted, cache hits, and work for the scheduler.
-    ordered: List[Tuple[str, Optional[FunctionResult], bool]] = []  # (name, result, cached)
+    # Spans: a function's parse counts lines from its item run's first line
+    # (``offsets`` moves them to the source's), and the result cache keeps
+    # them counted from the function's ``fn`` line.
+    ordered: List[Tuple[str, Optional[FunctionResult], bool, int]] = []  # (name, result, cached, lines)
     keys: Dict[str, str] = {}
     callee_deps: Dict[str, Tuple[str, ...]] = {}
     pending: List[str] = []
-    tables = KeyTables(program, genv) if session.cache.enabled else None
-    for fn in program.functions:
-        if job.only is not None and fn.name not in job.only:
+    tables = KeyTables(program, genv, previous=memo.tables) if session.cache.enabled else None
+    memo.genv, memo.tables = genv, tables
+    only, signatures = job.only, genv.signatures
+    for fn, lines in zip(program.functions, offsets):
+        name = fn.name
+        if only is not None and name not in only:
             continue
-        signature = genv.signature(fn.name)
-        if signature.trusted or fn.body is None:
-            ordered.append((fn.name, FunctionResult(name=fn.name, ok=True, trusted=True), False))
+        if fn.body is None or signatures[name].trusted:
+            ordered.append((name, FunctionResult(name=name, ok=True, trusted=True), False, 0))
             continue
         deps = genv.function_dependencies(fn)
-        callee_deps[fn.name] = deps[0]
+        callee_deps[name] = deps[0]
         cached = None
         if tables is not None:
             # The scheduler still needs ``deps``, but hashing keys is pure
             # overhead when the result cache is off.
             key = function_key(program, fn, genv, deps=deps, tables=tables)
-            keys[fn.name] = key
+            keys[name] = key
             cached = session.cache.get(key)
         if cached is not None:
-            ordered.append((fn.name, cached, True))
+            ordered.append((name, _moved(cached, fn.line + lines), True, 0))
         else:
-            ordered.append((fn.name, None, False))
-            pending.append(fn.name)
+            ordered.append((name, None, False, lines))
+            pending.append(name)
 
     fresh = verify_functions(
         program,
@@ -263,14 +316,15 @@ def _verify_job_active(job: VerifyJob, session: VerifySession) -> JobReport:
         if name in keys and not is_fault_result(result):
             # Fault verdicts (crash/deadline/memory) describe the run, not
             # the program: caching one would pin a transient failure.
-            session.cache.put(keys[name], result)
+            session.cache.put(keys[name], _moved(result, -tables.fn_decls[name].line))
 
     verification = VerificationResult()
     report = JobReport(name=job.name, ok=True, time=0.0, cache_hits=0, cache_misses=0)
-    for name, result, cached in ordered:
+    for name, result, cached, lines in ordered:
         if result is None:
-            result = fresh[name][0]
+            result = _moved(fresh[name][0], lines)
         verification.add(result)
+        diagnostics = result.diagnostics
         report.functions.append(
             FunctionReport(
                 name=name,
@@ -280,8 +334,8 @@ def _verify_job_active(job: VerifyJob, session: VerifySession) -> JobReport:
                 num_constraints=result.num_constraints,
                 num_kvars=result.num_kvars,
                 metrics=dict(result.metrics),
-                diagnostics=[str(diag) for diag in result.diagnostics],
-                failures=[diag.to_dict() for diag in result.diagnostics],
+                diagnostics=[str(diag) for diag in diagnostics] if diagnostics else [],
+                failures=[diag.to_dict() for diag in diagnostics] if diagnostics else [],
             )
         )
     verification.time = time.perf_counter() - started

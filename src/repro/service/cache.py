@@ -15,14 +15,13 @@ the information a function's verification result depends on.  Editing a
 function's body re-verifies that function alone; editing its signature also
 re-verifies its callers; everything else is served from cache.
 
-Values are :class:`repro.core.FunctionResult` records; with a ``cache_dir``
-they persist as one JSON file per key and survive across processes.
-
-One provenance caveat follows from line numbers being normalised out of
-the key: a function moved around a file *without being edited* hits the
-cache, so the spans inside its (cached) diagnostics still point at the
-positions it had when the result was computed.  Editing the function —
-the only way to change its verdict — always recomputes.
+Values are :class:`repro.core.FunctionResult` records whose diagnostic
+spans count lines from the function's ``fn`` line (``FnDef.line`` is line
+0; a ``#[flux::sig]`` above it has a negative line), so a function moved
+around a file without being edited hits the cache and still reports where
+it is now: :func:`repro.service.api.verify_job` adds the function's
+current line.  With a ``cache_dir`` they persist as one JSON file per key
+and survive across processes.
 """
 
 from __future__ import annotations
@@ -33,7 +32,7 @@ import json
 import os
 import re
 import threading
-from typing import Dict, Iterable, Optional, Tuple
+from typing import Callable, Dict, FrozenSet, Iterable, Optional, Tuple
 
 from repro import faults
 from repro.core.errors import Diagnostic
@@ -57,7 +56,9 @@ from repro.obs import current_obs
 #    ``metrics``.
 # 8: ``metrics`` is the function's registry counter delta, keyed by metric
 #    name (``smt.*``, ``fixpoint.*``) instead of the ``smt_*`` fields.
-SCHEMA_VERSION = 8
+# 9: diagnostic spans count lines from the function's ``fn`` line, and
+#    fresh binder names inside a function are per function (``v%f3``).
+SCHEMA_VERSION = 9
 
 _IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 
@@ -78,9 +79,8 @@ def _interface_repr(fn: ast.FnDef) -> str:
     return repr((fn.name, fn.generics, fn.params, fn.ret, fn.attrs, fn.body is None))
 
 
-def _adt_closure(names: Iterable[str], decls: Dict[str, object], known: Iterable[str]) -> Tuple[str, ...]:
+def _adt_closure(names: Iterable[str], tables: "KeyTables") -> Tuple[str, ...]:
     """Close a set of ADT names over the ADT names their definitions mention."""
-    known_set = set(known)
     closed: set = set()
     frontier = [name for name in names]
     while frontier:
@@ -88,12 +88,11 @@ def _adt_closure(names: Iterable[str], decls: Dict[str, object], known: Iterable
         if name in closed:
             continue
         closed.add(name)
-        decl = decls.get(name)
+        decl = tables.adt_decls.get(name)
         if decl is None:
             continue
-        for ident in _IDENT.findall(repr(decl)):
-            if ident in known_set and ident not in closed:
-                frontier.append(ident)
+        _, idents = tables.fingerprint(decl, repr)
+        frontier.extend(idents & tables.known_adts - closed)
     return tuple(sorted(closed))
 
 
@@ -101,14 +100,38 @@ class KeyTables:
     """Per-program lookup tables shared across ``function_key`` calls.
 
     Building these is O(program); hoisting them out of the per-function key
-    computation keeps ``verify_job`` linear in program size.
+    computation keeps ``verify_job`` linear in program size.  The tables
+    also remember each definition's fingerprints (``repr`` texts) by
+    identity: AST nodes are immutable, so ``previous``, the tables of an
+    earlier version of the program, lends the fingerprints of every
+    definition that is the same object in both, and an edit re-``repr``s
+    only the definitions it changed.
     """
 
-    def __init__(self, program: ast.Program, genv: GlobalEnv) -> None:
+    def __init__(
+        self, program: ast.Program, genv: GlobalEnv, previous: Optional["KeyTables"] = None
+    ) -> None:
         self.fn_decls: Dict[str, ast.FnDef] = definition_map(program)
         self.adt_decls: Dict[str, object] = {s.name: s for s in program.structs}
         self.adt_decls.update({e.name: e for e in program.enums})
         self.known_adts = frozenset(self.adt_decls) | frozenset(genv.adts)
+        #: ``(render, id(node)) -> (node, text, identifiers in text)``.
+        self._fingerprints: Dict[Tuple[object, int], Tuple[object, str, FrozenSet[str]]] = {}
+        if previous is not None:
+            # An id names one live object, and both tables hold theirs.
+            live = {id(node) for node in (*program.functions, *program.structs, *program.enums)}
+            self._fingerprints = {
+                key: entry for key, entry in previous._fingerprints.items() if key[1] in live
+            }
+
+    def fingerprint(self, node: object, render: Callable[[object], str]) -> Tuple[str, FrozenSet[str]]:
+        """``render(node)`` and the identifiers in it, rendered once per node."""
+        key = (render, id(node))
+        entry = self._fingerprints.get(key)
+        if entry is None:
+            text = render(node)
+            entry = self._fingerprints[key] = (node, text, frozenset(_IDENT.findall(text)))
+        return entry[1], entry[2]
 
 
 def function_key(
@@ -132,25 +155,23 @@ def function_key(
 
     callees, adts = deps if deps is not None else genv.function_dependencies(fn)
     adt_seeds = set(adts)
-    parts = [f"schema={SCHEMA_VERSION}", _normalized_repr(fn)]
+    parts = [f"schema={SCHEMA_VERSION}", tables.fingerprint(fn, _normalized_repr)[0]]
     for callee in callees:
         decl = fn_decls.get(callee)
         if decl is not None:
-            interface = _interface_repr(decl)
+            interface, idents = tables.fingerprint(decl, _interface_repr)
             parts.append(f"fn {callee}:{interface}")
             # ADTs a callee's signature mentions reach this function's
             # obligations even when the function never names them itself
             # (e.g. calling ``mk() -> S``) — seed the closure with them.
-            for ident in _IDENT.findall(interface):
-                if ident in known_adts:
-                    adt_seeds.add(ident)
+            adt_seeds |= idents & known_adts
         else:
             # Built-in (RVec API, swap, ...): fixed by SCHEMA_VERSION.
             parts.append(f"builtin {callee}")
-    for adt in _adt_closure(adt_seeds, adt_decls, known_adts):
+    for adt in _adt_closure(adt_seeds, tables) if adt_seeds else ():
         decl = adt_decls.get(adt)
         if decl is not None:
-            parts.append(f"adt {adt}:{repr(decl)}")
+            parts.append(f"adt {adt}:{tables.fingerprint(decl, repr)[0]}")
         else:
             parts.append(f"builtin-adt {adt}")
     digest = hashlib.sha256("\n".join(parts).encode("utf-8")).hexdigest()

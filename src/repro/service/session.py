@@ -3,7 +3,9 @@
 A :class:`VerifySession` owns everything that used to live in module-level
 globals: the SMT answer cache (an :class:`repro.smt.SmtContext`), the
 per-function result cache, and the observability context (metrics
-registry, span tracer, solver event log).
+registry, span tracer, solver event log).  It also keeps the last job's
+front end (:class:`ItemMemo`), so that an edit re-parses and re-elaborates
+only the items it changed.
 Two sessions never share mutable state, which is what makes it safe to run
 several verifications concurrently in one process — and what lets worker
 processes each build their own context without trampling a shared one.
@@ -21,10 +23,12 @@ import time
 from contextlib import contextmanager
 from typing import Dict, Iterator, Optional
 
+from repro.core.genv import GlobalEnv
+from repro.lang import ast
 from repro.obs import MetricsRegistry, ObsContext, use_obs
 from repro.smt import SmtContext, use_context
 
-from repro.service.cache import ResultCache
+from repro.service.cache import KeyTables, ResultCache
 
 #: Generation-0 threshold of the cyclic garbage collector while a session is
 #: active (CPython's default is 700).  A verification builds long-lived,
@@ -84,6 +88,27 @@ class _CollectorScope:
 _COLLECTOR = _CollectorScope()
 
 
+class ItemMemo:
+    """What the last job's front end made, for the next job to reuse.
+
+    ``items`` maps the exact text of each item run
+    (:func:`repro.lang.split_items`) to its parse, line numbers counted
+    from the run's first line; an unchanged run is not parsed again, so its
+    functions are the same objects in the next job.  ``genv`` is the last
+    job's elaborated environment (see
+    :meth:`~repro.core.genv.GlobalEnv.register_program`) and ``tables`` its
+    cache-key tables (:class:`repro.service.cache.KeyTables`), which reuse
+    what they derived from those same objects.  It holds one job's worth,
+    and, like the session's cache counters, assumes the session verifies
+    one job at a time.
+    """
+
+    def __init__(self) -> None:
+        self.items: Dict[str, ast.Program] = {}
+        self.genv: Optional[GlobalEnv] = None
+        self.tables: Optional[KeyTables] = None
+
+
 class VerifySession:
     """Owns the mutable state of one verification run (or server lifetime).
 
@@ -129,6 +154,7 @@ class VerifySession:
         self.smt = SmtContext()
         self.obs = ObsContext.create(trace=trace, events=events)
         self.cache = ResultCache(cache_dir=cache_dir, enabled=use_cache)
+        self.memo = ItemMemo()
         self.jobs = max(1, int(jobs))
         self.fn_deadline = fn_deadline if fn_deadline and fn_deadline > 0 else None
         self.memory_limit_mb = memory_limit_mb if memory_limit_mb and memory_limit_mb > 0 else None

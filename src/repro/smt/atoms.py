@@ -28,7 +28,6 @@ from typing import Dict, Tuple, Union
 from repro.logic.expr import (
     App,
     BinOp,
-    BoolConst,
     Expr,
     IntConst,
     Ite,
@@ -36,7 +35,7 @@ from repro.logic.expr import (
     UnaryOp,
     Var,
 )
-from repro.logic.sorts import BOOL, INT, REAL, Sort
+from repro.logic.sorts import BOOL, INT, Sort
 
 #: A rational scalar on the mixed int/Fraction fast path.
 Rational = Union[int, Fraction]

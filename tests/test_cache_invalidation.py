@@ -158,3 +158,55 @@ class TestSchemaVersion:
         )
         for fn in rekeyed.functions:
             assert fn.status == "ok"
+
+
+FAILING = BASE + """
+#[flux::sig(fn ( x : i32 [ @ x ] ) -> i32 [ x ])]
+fn wrong(x: i32) -> i32 {
+    x + 1
+}
+"""
+
+#: Two ways to push ``wrong`` one line down without editing it: a line in
+#: an earlier function's body, and a comment line right above it.
+SHIFTED = {
+    "earlier body": FAILING.replace("    leaf(x) + 1\n", "    let pad = 0;\n    leaf(x) + 1\n", 1),
+    "line above": FAILING.replace("\n#[flux::sig(fn ( x : i32 [ @ x ] ) -> i32 [ x ])]", "\n// moved\n#[flux::sig(fn ( x : i32 [ @ x ] ) -> i32 [ x ])]", 1),
+}
+
+
+class TestCachedSpans:
+    """A cached verdict reports the lines the function has now."""
+
+    @staticmethod
+    def _wrong(report):
+        return next(fn for fn in report.functions if fn.name == "wrong")
+
+    def _check_moved(self, first, second, cold):
+        before, after = self._wrong(first), self._wrong(second)
+        assert after.cached and after.status == "error"
+        for old, new in zip(before.failures, after.failures):
+            for key in ("span", "sig_span"):
+                assert new[key]["line"] == old[key]["line"] + 1
+                assert new[key]["end_line"] == old[key]["end_line"] + 1
+                assert new[key]["column"] == old[key]["column"]
+        assert after.failures == self._wrong(cold).failures
+        assert after.diagnostics == self._wrong(cold).diagnostics
+
+    def test_warm_session(self):
+        for source in SHIFTED.values():
+            session = VerifySession()
+            first = verify_job(VerifyJob(source=FAILING), session)
+            second = verify_job(VerifyJob(source=source), session)
+            cold = verify_job(VerifyJob(source=source), VerifySession(use_cache=False))
+            self._check_moved(first, second, cold)
+
+    def test_on_disk_cache(self, tmp_path):
+        for name, source in SHIFTED.items():
+            cache_dir = str(tmp_path / name.replace(" ", "_"))
+            first = verify_job(VerifyJob(source=FAILING), VerifySession(cache_dir=cache_dir))
+            # A new session reads the entry from disk, with no memo of the
+            # first job's items.
+            second = verify_job(VerifyJob(source=source), VerifySession(cache_dir=cache_dir))
+            cold = verify_job(VerifyJob(source=source), VerifySession(use_cache=False))
+            self._check_moved(first, second, cold)

@@ -106,10 +106,10 @@ class TestSchedulerContainment:
         log = tmp_path / "register_program.pids"
         original = GlobalEnv.register_program
 
-        def logged(genv, program):
+        def logged(genv, program, **kwargs):
             with open(log, "a", encoding="ascii") as handle:
                 handle.write(f"{os.getpid()}\n")
-            return original(genv, program)
+            return original(genv, program, **kwargs)
 
         monkeypatch.setattr(GlobalEnv, "register_program", logged)
         report, _ = _verify(CRATE, jobs=2)

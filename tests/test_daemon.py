@@ -9,6 +9,7 @@ import socket
 import threading
 import time
 import urllib.request
+import zlib
 
 import pytest
 
@@ -68,17 +69,17 @@ class TestProtocol:
     def test_record_json_splices_the_report_text_in_to_dict_order(self):
         request = JobRequest(source=INC, name="n")
         report = {"name": "n", "ok": False, "functions": [{"name": "f", "time": 0.5}]}
-        text = json.dumps(report)
+        packed = zlib.compress(json.dumps(report).encode("utf-8"))
         error = error_payload("TIMEOUT", "slow", job="job-1")["error"]
         meta = {"attempts": 1, "worker_pid": 42}
         timed = {"submitted": 1.25, "started": 2.0, "finished": 3.5, "meta": meta}
         records = [
             JobRecord(id="job-1", request=request),
             JobRecord(id="job-1", request=request, state="running", started=2.0, meta=meta),
-            JobRecord(id="job-1", request=request, state="done", report_json=text, **timed),
+            JobRecord(id="job-1", request=request, state="done", report_zlib=packed, **timed),
             JobRecord(id="job-1", request=request, state="failed", error=error, **timed),
             # Both at once never happens today; the splice keeps the order anyway.
-            JobRecord(id="job-1", request=request, report_json=text, error=error),
+            JobRecord(id="job-1", request=request, report_zlib=packed, error=error),
         ]
         for record in records:
             assert record.to_json() == json.dumps(record.to_dict())
@@ -287,9 +288,12 @@ class TestDaemonEndToEnd:
             with urllib.request.urlopen(f"{daemon.url}/jobs/{job_id}", timeout=10) as response:
                 body = response.read()
             record = daemon.daemon.queue.get(job_id)
-        # The record holds text, and GET /jobs/<id> is byte-for-byte the
-        # body that encoding the decoded record gives, key order included.
-        assert isinstance(record.report_json, str)
+        # The record holds compressed text, and GET /jobs/<id> is
+        # byte-for-byte the body that encoding the decoded record gives,
+        # key order included.
+        assert isinstance(record.report_zlib, bytes)
+        assert len(record.report_zlib) < len(record.report_json)
+        assert zlib.decompress(record.report_zlib).decode("utf-8") == record.report_json
         assert body == json.dumps(record.to_dict()).encode("utf-8")
         assert json.loads(body)["report"] == record.report
         assert record.report["functions"][0]["diagnostics"]

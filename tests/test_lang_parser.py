@@ -254,3 +254,45 @@ class TestParser:
         inner = fn.params[0].ty.inner
         assert inner.name == "RVec"
         assert inner.args[0].name == "RVec"
+
+
+def _sweep_sources():
+    from pathlib import Path
+
+    from repro.bench.programs import benchmark_programs
+
+    tests = Path(__file__).resolve().parent
+    sources = [program.flux_source for program in benchmark_programs()]
+    sources += [path.read_text() for path in sorted((tests / "golden").glob("*.rs"))]
+    sources += [path.read_text() for path in sorted((tests / "corpus").glob("*.rs"))]
+    return sources
+
+
+class TestUseAtEndOfInput:
+    def test_unterminated_use_is_a_parse_error(self):
+        from repro import faults
+
+        for source in ("use foo::bar", "use foo", "fn f() {}\nuse"):
+            with faults.enforce_deadline(1.0), pytest.raises(ParseError, match="expected ';'"):
+                parse_program(source)
+
+    def test_no_line_prefix_hangs(self):
+        # Every line prefix of the Table-1, golden and corpus sources, and
+        # the same prefix with a trailing ``use``, parses or raises a
+        # LexError/ParseError within a second (a ``use`` at end of input
+        # used to spin on the eof token for ever).
+        from repro import faults
+
+        checked = 0
+        for source in _sweep_sources():
+            lines = source.splitlines(keepends=True)
+            for end in range(1, len(lines) + 1):
+                prefix = "".join(lines[:end])
+                for text in (prefix, prefix + "use foo"):
+                    with faults.enforce_deadline(1.0):
+                        try:
+                            parse_program(text)
+                        except (LexError, ParseError):
+                            pass
+                    checked += 1
+        assert checked > 800

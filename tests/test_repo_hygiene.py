@@ -84,3 +84,58 @@ def test_every_definition_is_referenced():
             if words[name] <= 1 and key not in _UNREFERENCED_ALLOWED:
                 unreferenced.append(f"{key} (line {node.lineno})")
     assert not unreferenced, "unreferenced definitions:\n" + "\n".join(sorted(unreferenced))
+
+
+def _annotation_names(node):
+    """Names inside the string annotations (``"ContextVar[Foo]"``) under ``node``."""
+    for child in ast.walk(node):
+        if isinstance(child, ast.Constant) and isinstance(child.value, str):
+            try:
+                parsed = ast.parse(child.value, mode="eval")
+            except SyntaxError:
+                continue
+            yield from (sub.id for sub in ast.walk(parsed) if isinstance(sub, ast.Name))
+
+
+def _unused_imports(tree):
+    """Yield ``(name, line)`` for each name ``tree`` imports and never uses."""
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.arg) and node.annotation is not None:
+            used.update(_annotation_names(node.annotation))
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.returns is not None:
+            used.update(_annotation_names(node.returns))
+        elif isinstance(node, ast.AnnAssign):
+            used.update(_annotation_names(node.annotation))
+        elif isinstance(node, ast.Assign) and any(
+            isinstance(target, ast.Name) and target.id == "__all__" for target in node.targets
+        ):
+            used.update(
+                element.value for element in ast.walk(node.value) if isinstance(element, ast.Constant)
+            )
+    for name, line in sorted(imported.items(), key=lambda item: item[1]):
+        if name not in used:
+            yield name, line
+
+
+def test_no_unused_imports():
+    """Every module outside the package ``__init__`` files uses what it
+    imports (``__all__`` entries and string annotations count as uses)."""
+    unused = []
+    for path in sorted((REPO_ROOT / "src" / "repro").rglob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        relative = path.relative_to(REPO_ROOT)
+        unused.extend(f"{relative}:{line} {name}" for name, line in _unused_imports(tree))
+    assert not unused, "unused imports:\n" + "\n".join(unused)
