@@ -11,7 +11,8 @@ Drives a real in-process daemon over HTTP end to end:
    daemon re-verification of an already-cached program and asserts the
    daemon answers at least ``--min-speedup`` (default 5) times faster;
 3. scrapes ``/metrics`` and asserts the solver counters (``smt.*``) are
-   non-zero;
+   non-zero, and that ``/healthz`` reports the cache hits and misses and
+   the retired workers ``/metrics`` counts;
 4. shuts the daemon down gracefully and asserts it drained.
 
 Run from the repo root::
@@ -62,6 +63,38 @@ def canonical_verdict(report: dict) -> bytes:
         "functions": functions,
     }
     return json.dumps(payload, sort_keys=True).encode("utf-8")
+
+
+def check_one_store(health: dict, exposition: str) -> int:
+    """Failures where ``/healthz`` and ``/metrics`` disagree on a count.
+
+    Both read the same registry, so each pair must be equal; a series
+    that never fired is absent from ``/metrics`` and counts as 0.
+    """
+    series = {}
+    for line in exposition.splitlines():
+        if line and not line.startswith("#"):
+            name, value = line.rsplit(" ", 1)
+            series[name] = float(value)
+    failures = 0
+    for label, reported, name in (
+        ("cache.hits", health["cache"]["hits"], "repro_cache_hits_total"),
+        ("cache.misses", health["cache"]["misses"], "repro_cache_misses_total"),
+        ("workers.retired", health["workers"]["retired"], "repro_daemon_sessions_retired_total"),
+    ):
+        counted = series.get(name, 0)
+        if reported != counted:
+            print(
+                f"FAIL: /healthz {label} = {reported}, /metrics {name} = {counted}",
+                file=sys.stderr,
+            )
+            failures += 1
+    print(
+        f"/healthz vs /metrics: cache hits {health['cache']['hits']}, "
+        f"misses {health['cache']['misses']}, retired workers "
+        f"{health['workers']['retired']}: {'agree' if not failures else 'DISAGREE'}"
+    )
+    return failures
 
 
 def in_process_report(case) -> dict:
@@ -234,6 +267,7 @@ def main(argv=None) -> int:
             if required not in exposition:
                 print(f"FAIL: {required} missing from /metrics", file=sys.stderr)
                 failures += 1
+        failures += check_one_store(client.healthz(daemon.url), exposition)
 
         handle = daemon
 

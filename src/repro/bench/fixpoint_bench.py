@@ -46,7 +46,9 @@ class FunctionConstraints:
 
 @dataclass
 class StrategyOutcome:
-    """Aggregated result of solving a batch of constraints one way."""
+    """Aggregated result of solving a batch of constraints one way.  The
+    counts are the batch registry's ``fixpoint.*`` and
+    ``smt.clauses_retained`` counters."""
 
     strategy: str
     elapsed: float = 0.0
@@ -55,7 +57,6 @@ class StrategyOutcome:
     assumption_checks: int = 0
     incremental_hits: int = 0
     batched_checks: int = 0
-    #: ``smt.clauses_retained`` of the batch's registry.
     clauses_retained: int = 0
     # function -> (solution as printable strings, sorted error descriptions)
     results: Dict[str, Tuple[Dict[str, str], Tuple[str, ...]]] = field(
@@ -63,11 +64,6 @@ class StrategyOutcome:
     )
 
     def record(self, key: str, result: FixpointResult) -> None:
-        self.smt_queries += result.smt_queries
-        self.from_scratch_solves += result.from_scratch_solves
-        self.assumption_checks += result.assumption_checks
-        self.incremental_hits += result.incremental_hits
-        self.batched_checks += result.batched_checks
         solution = {name: str(expr) for name, expr in sorted(result.solution.items())}
         errors = tuple(sorted(f"{e.kind}:{e.tag}" for e in result.errors))
         self.results[key] = (solution, errors)
@@ -124,7 +120,13 @@ def solve_constraints(
             result = solver.solve(item.constraint)
         outcome.record(f"{item.program}::{item.function}", result)
     outcome.elapsed = time.perf_counter() - started
-    outcome.clauses_retained = obs.registry.value("smt.clauses_retained")
+    registry = obs.registry
+    outcome.smt_queries = registry.value("fixpoint.smt_queries")
+    outcome.from_scratch_solves = registry.value("fixpoint.from_scratch_solves")
+    outcome.assumption_checks = registry.value("fixpoint.assumption_checks")
+    outcome.incremental_hits = registry.value("fixpoint.incremental_hits")
+    outcome.batched_checks = registry.value("fixpoint.batched_checks")
+    outcome.clauses_retained = registry.value("smt.clauses_retained")
     return outcome
 
 

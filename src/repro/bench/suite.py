@@ -74,7 +74,8 @@ class BenchmarkCase:
         session's metrics registry;
         ``repro.bench.fixpoint_bench.run_program_metrics`` reports them."""
         session = session or VerifySession(use_cache=False)
-        hits, misses = session.cache.hits, session.cache.misses
+        registry = session.metrics
+        hits, misses = registry.value("cache.hits"), registry.value("cache.misses")
         started = time.perf_counter()
         result = verify_source(
             self.program.flux_source, only=self.program.flux_functions, session=session
@@ -88,8 +89,8 @@ class BenchmarkCase:
             time=elapsed,
             verified=result.ok,
             failures=failures,
-            cache_hits=session.cache.hits - hits,
-            cache_misses=session.cache.misses - misses,
+            cache_hits=registry.value("cache.hits") - hits,
+            cache_misses=registry.value("cache.misses") - misses,
         )
 
     def run_prusti_static(self, note: str) -> SideMetrics:

@@ -95,6 +95,7 @@ from repro.core.rtypes import (
     base_invariants,
     base_of,
     fresh_name,
+    subst_base,
     subst_rtype,
     subst_type_params,
     unrefined,
@@ -219,7 +220,7 @@ class Checker:
                 mapping[name] = Var(fresh, sort)
                 fresh_vars.append(Var(fresh, sort))
             state.assume(substitute(rtype.pred, mapping))
-            base = self._subst_base(rtype.base, mapping)
+            base = subst_base(rtype.base, mapping)
             for fact in base_invariants(base, fresh_vars):
                 state.assume(fact)
             return RIndexed(base, tuple(fresh_vars))
@@ -228,12 +229,6 @@ class Checker:
                 state.assume(fact)
             return rtype
         return rtype
-
-    @staticmethod
-    def _subst_base(base: BaseTy, mapping: Dict[str, Expr]) -> BaseTy:
-        if isinstance(base, BTAdt):
-            return BTAdt(base.name, tuple(subst_rtype(a, mapping) for a in base.args), base.sorts)
-        return base
 
     # -------------------------------------------------------------- entry state
 

@@ -11,7 +11,8 @@ from __future__ import annotations
 
 from typing import List
 
-from repro.logic.expr import Expr, FALSE, TRUE, Var, eq
+from repro.logic.expr import FALSE, TRUE, Var, eq
+from repro.logic.subst import substitute
 from repro.fixpoint.constraint import Constraint, c_conj, c_forall, c_pred
 from repro.core.rtypes import (
     BTAdt,
@@ -28,7 +29,7 @@ from repro.core.rtypes import (
     RType,
     RUninit,
     fresh_name,
-    subst_rtype,
+    subst_base,
 )
 
 
@@ -60,10 +61,10 @@ def subtype(lhs: RType, rhs: RType, tag: str) -> Constraint:
         fresh = [(fresh_name(name.split("%")[0] or "v"), sort) for name, sort in lhs.binders]
         mapping = {old: Var(new, sort) for (old, _), (new, sort) in zip(lhs.binders, fresh)}
         opened = RIndexed(
-            subst_base_args(lhs.base, mapping),
+            subst_base(lhs.base, mapping),
             tuple(Var(new, sort) for new, sort in fresh),
         )
-        hypothesis = _subst_expr(lhs.pred, mapping)
+        hypothesis = substitute(lhs.pred, mapping)
         inner = subtype(opened, rhs, tag)
         for name, sort in reversed(fresh):
             inner = c_forall(name, sort, hypothesis, inner)
@@ -85,7 +86,7 @@ def subtype(lhs: RType, rhs: RType, tag: str) -> Constraint:
         mapping = {
             name: index for (name, _), index in zip(rhs.binders, lhs.indices)
         }
-        parts = [c_pred(_subst_expr(rhs.pred, mapping), tag=tag)]
+        parts = [c_pred(substitute(rhs.pred, mapping), tag=tag)]
         parts.extend(_adt_arg_constraints(lhs.base, rhs.base, tag))
         return c_conj(*parts)
 
@@ -123,15 +124,3 @@ def _adt_arg_constraints(lhs: BaseTy, rhs: BaseTy, tag: str) -> List[Constraint]
         parts.append(subtype(left_arg, right_arg, tag))
         parts.append(subtype(right_arg, left_arg, tag))
     return parts
-
-
-def subst_base_args(base: BaseTy, mapping) -> BaseTy:
-    if isinstance(base, BTAdt):
-        return BTAdt(base.name, tuple(subst_rtype(a, mapping) for a in base.args), base.sorts)
-    return base
-
-
-def _subst_expr(expr: Expr, mapping) -> Expr:
-    from repro.logic.subst import substitute
-
-    return substitute(expr, mapping)

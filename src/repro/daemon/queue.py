@@ -27,8 +27,8 @@ Admission control happens at submit time, on the event-loop thread:
 
 Fault containment (see ``docs/robustness.md``): a job that outlives
 ``job_timeout`` is failed with a structured ``TIMEOUT`` payload and its
-worker is **killed and replaced** — subprocesses, unlike the executor
-threads they replaced, cannot linger as unkillable orphans.  A worker that
+worker is **killed and replaced** — a subprocess, unlike a thread, cannot
+linger as an unkillable orphan.  A worker that
 *dies* mid-job (OOM killer, injected crash, segfault) has the job retried
 with backoff on a fresh worker up to ``job_retries`` times (default
 :data:`repro.faults.CRASH_RETRIES`, the rule the ``--jobs`` scheduler
@@ -73,8 +73,8 @@ class JobQueue:
     thread (the HTTP handlers do).  Verification runs in worker
     subprocesses; only the pipe round-trip occupies an executor thread.
     Daemon-level metrics go to ``registry`` — the daemon's own registry,
-    deliberately distinct from the per-worker registries the pool
-    aggregates.
+    distinct from the pool's registry of the workers' job deltas, which
+    :meth:`_run` merges on the event-loop thread before a job ends.
     """
 
     def __init__(
@@ -373,6 +373,7 @@ class JobQueue:
                 except BaseException:
                     self._retire(worker)
                     raise
+                self.pool.merge_reply(worker, outcome)
                 status = outcome.get("status")
                 if status == "ok":
                     self.pool.release(worker)

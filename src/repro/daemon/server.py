@@ -103,8 +103,6 @@ class DaemonConfig:
     memory_limit_mb: Optional[int] = None
     #: Finished-job records retained for ``GET /jobs/<id>``.
     retention: int = 512
-    #: Enable span tracing on the daemon session.
-    trace: bool = False
 
 
 class VerifyDaemon:
@@ -113,15 +111,13 @@ class VerifyDaemon:
     def __init__(self, config: Optional[DaemonConfig] = None) -> None:
         self.config = config or DaemonConfig()
         # Daemon-level metrics (HTTP traffic, queue gauges, job lifecycle)
-        # live on the daemon's own registry, mutated only from the event
-        # loop; per-worker solver metrics stay in each worker subprocess
-        # and are merged in at scrape time from reply snapshots.
+        # live on the daemon's own registry; the workers' solver metrics
+        # on the pool's.  The event loop alone mutates both.
         self.registry = MetricsRegistry()
         self.workers = WorkerPool(
             {
                 "cache_dir": self.config.cache_dir,
                 "session_jobs": self.config.session_jobs,
-                "trace": self.config.trace,
                 "fn_deadline": self.config.fn_deadline,
                 "memory_limit_mb": self.config.memory_limit_mb,
             },
@@ -159,8 +155,8 @@ class VerifyDaemon:
         self.port = server.sockets[0].getsockname()[1]
         self._install_signal_handlers()
         self.state = "serving"
-        # Metric name kept from the thread-pool era ("session" == one warm
-        # worker) so operator dashboards survive the subprocess migration.
+        # "session" is one warm worker; the name keeps operator dashboards
+        # working.
         self.registry.gauge(
             "daemon.sessions.warm", help="live warm verification workers"
         ).set(self.workers.warm)
@@ -399,10 +395,14 @@ class VerifyDaemon:
             )
         return 200, "application/json", record.to_json().encode("utf-8")
 
+    def _cache_counts(self) -> Tuple[int, int]:
+        workers = self.workers.metrics
+        return workers.value("cache.hits"), workers.value("cache.misses")
+
     def _handle_metrics(self) -> Tuple[int, str, bytes]:
         # One merged exposition: the daemon registry (HTTP/queue series)
-        # plus every live worker's latest snapshot and absorbed retirees,
-        # with the deterministic merge semantics (counters add, gauges max).
+        # plus the workers' job deltas, with the deterministic merge
+        # semantics (counters add, gauges max).
         merged = MetricsRegistry()
         merged.merge(self.registry.snapshot())
         merged.merge(self.workers.merged_metrics())
@@ -417,12 +417,11 @@ class VerifyDaemon:
         merged.gauge(
             "daemon.sessions.warm", help="live warm verification workers"
         ).set(self.workers.warm)
-        cache = self.workers.cache_stats()
-        lookups = cache["hits"] + cache["misses"]
+        hits, misses = self._cache_counts()
         merged.gauge(
             "daemon.cache.hit_ratio",
             help="function-result cache hit ratio over the daemon lifetime",
-        ).set(round(cache["hits"] / lookups, 6) if lookups else 0)
+        ).set(round(hits / (hits + misses), 6) if hits + misses else 0)
         merged.gauge(
             "daemon.uptime_seconds", help="seconds since daemon start", unit="seconds"
         ).set(round(time.time() - self.started_at, 3))
@@ -430,7 +429,7 @@ class VerifyDaemon:
         return 200, "text/plain; version=0.0.4", text.encode("utf-8")
 
     def _handle_healthz(self) -> Tuple[int, str, bytes]:
-        cache = self.workers.cache_stats()
+        hits, misses = self._cache_counts()
         payload = {
             "ok": self.state in ("serving", "draining"),
             "state": self.state,
@@ -443,10 +442,10 @@ class VerifyDaemon:
             },
             "workers": {
                 "warm": self.workers.warm,
-                "retired": self.workers.retired_total,
+                "retired": self.registry.value("daemon.sessions.retired"),
             },
             "tenants": self.queue.quotas.snapshot(),
-            "cache": cache,
+            "cache": {"hits": hits, "misses": misses, "entries": self.workers.cache_entries},
         }
         return 200, "application/json", json.dumps(payload).encode("utf-8")
 

@@ -1,38 +1,35 @@
 """Killable verification workers: one warm session per daemon worker process.
 
-The daemon used to run jobs on executor *threads* around a pool of warm
-sessions — but Python threads cannot be killed, so a timed-out job left an
-unkillable orphan thread mutating a retired session, and enough of them
-exhausted the executor.  A :class:`WorkerPool` replaces that with real
-subprocesses: each is a :class:`repro.faults.Worker` (the same forked
-worker the ``--jobs`` scheduler runs on) that builds one warm
+Jobs run in subprocesses rather than threads because a Python thread
+cannot be killed: a timed-out job would leave an orphan thread mutating
+its session.  Each worker of a :class:`WorkerPool` is a
+:class:`repro.faults.Worker` (the same forked worker the ``--jobs``
+scheduler runs on) that builds one warm
 :class:`~repro.service.session.VerifySession` and serves jobs over its pipe
-for its whole lifetime (keeping the interned terms, SMT answer cache and
-function-result cache hot, exactly like the old session pool).  A job that
-times out or a child that dies is handled by **killing the worker** —
-SIGTERM, bounded grace, SIGKILL — and minting a fresh one; nothing orphaned
-survives, and the queue can *retry* a crashed job on the replacement.
+for its whole lifetime, keeping the interned terms, SMT answer cache and
+function-result cache hot.  A job that times out or a child that dies is
+handled by **killing the worker** — SIGTERM, bounded grace, SIGKILL — and
+minting a fresh one; nothing orphaned survives, and the queue can *retry*
+a crashed job on the replacement.
 
-Metrics: each reply carries the child session's cumulative registry
-snapshot; the pool keeps the latest snapshot per live worker and *absorbs*
-a killed worker's last snapshot into a retained registry, so the merged
-``/metrics`` exposition stays monotone across worker generations (counters
-add across workers; within a worker the latest cumulative snapshot simply
-replaces the previous one).
+Metrics: each reply carries the registry delta of its job, taken from a
+fresh registry per job (:meth:`repro.obs.ObsContext.take_metrics`, as a
+``--jobs`` worker ships one per function).  The pool merges every delta
+into one registry, :attr:`WorkerPool.metrics`, so a worker's retirement
+loses only the job it was killed in, and the counters on ``/metrics``
+stay monotone.
 """
 
 from __future__ import annotations
 
 import json
 import zlib
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional
 
 from repro import faults
 from repro.obs.metrics import MetricsRegistry
 
 __all__ = ["WorkerPool"]
-
-_NO_CACHE = {"hits": 0, "misses": 0, "entries": 0}
 
 #: zlib level of a finished report: level 1 keeps a crate report at about
 #: a ninth of its text, in about a millisecond.
@@ -49,12 +46,11 @@ def _session_server(config: Dict[str, object]) -> Callable[[], Callable[[Dict], 
         session = VerifySession(
             cache_dir=config.get("cache_dir"),
             jobs=int(config.get("session_jobs", 1) or 1),
-            trace=bool(config.get("trace", False)),
             fn_deadline=config.get("fn_deadline"),
             memory_limit_mb=config.get("memory_limit_mb"),
         )
 
-        def serve(request_dict: Dict) -> Dict:
+        def run(request_dict: Dict) -> Dict:
             try:
                 faults.inject("daemon.job", key=str(request_dict.get("name", "")))
                 only = request_dict.get("only")
@@ -70,12 +66,7 @@ def _session_server(config: Dict[str, object]) -> Callable[[], Callable[[Dict], 
                     # Encoded once, here: the daemon keeps these bytes and
                     # decompresses them to serve the report.
                     "report_zlib": zlib.compress(report.encode("utf-8"), REPORT_LEVEL),
-                    "metrics": session.metrics_snapshot(),
-                    "cache": {
-                        "hits": session.cache.hits,
-                        "misses": session.cache.misses,
-                        "entries": len(session.cache),
-                    },
+                    "cache_entries": len(session.cache),
                 }
             except MemoryError:
                 return {
@@ -90,6 +81,11 @@ def _session_server(config: Dict[str, object]) -> Callable[[], Callable[[Dict], 
                     "message": f"{type(error).__name__}: {error}",
                 }
 
+        def serve(request_dict: Dict) -> Dict:
+            reply = run(request_dict)
+            reply["metrics"] = session.obs.take_metrics()
+            return reply
+
         return serve
 
     return factory
@@ -98,25 +94,23 @@ def _session_server(config: Dict[str, object]) -> Callable[[], Callable[[Dict], 
 class WorkerPool:
     """A fixed-size pool of warm worker subprocesses.
 
-    ``acquire``/``release``/``retire`` follow the queue's event-loop-thread
-    discipline (no internal locking); only :meth:`run_job` blocks, and the
-    queue calls it from executor threads.
+    ``acquire``/``release``/``retire``/``merge_reply`` follow the queue's
+    event-loop-thread discipline (no internal locking); only
+    :meth:`run_job` blocks, and the queue calls it from executor threads.
     """
 
     def __init__(self, config: Dict[str, object], size: int = 1) -> None:
         self.config = dict(config)
         self.size = max(0, int(size))
-        self.retired_total = 0
+        #: Every job's metrics delta, merged: what all workers, retired
+        #: ones included, counted.
+        self.metrics = MetricsRegistry()
         self._idle: List[faults.Worker] = []
         self._busy: List[faults.Worker] = []
-        #: Latest cumulative (metrics, cache) snapshot each live worker
-        #: reported.  Keys change only on the event-loop thread; executor
-        #: threads only replace the value of the worker they drive.
-        self._latest: Dict[faults.Worker, Tuple[Dict[str, object], Dict[str, int]]] = {}
+        #: Each live worker's result-cache size at its last reply.
+        self._entries: Dict[faults.Worker, int] = {}
         self._spawned = 0
         self._started = False
-        self._absorbed = MetricsRegistry()
-        self._absorbed_cache = {"hits": 0, "misses": 0}
 
     def start(self) -> None:
         """Fork the workers (idempotent); deferred so constructing a daemon
@@ -129,13 +123,11 @@ class WorkerPool:
 
     def _spawn(self) -> faults.Worker:
         self._spawned += 1
-        worker = faults.Worker(
+        return faults.Worker(
             _session_server(self.config),
             name=f"repro-daemon-worker-{self._spawned}",
             memory_limit_mb=self.config.get("memory_limit_mb"),
         )
-        self._latest[worker] = ({}, dict(_NO_CACHE))
-        return worker
 
     @property
     def warm(self) -> int:
@@ -177,53 +169,37 @@ class WorkerPool:
                 "kind": "INTERNAL",
                 "message": f"malformed worker reply: {type(reply).__name__}",
             }
-        if reply.get("status") == "ok":
-            self._latest[worker] = (reply.get("metrics", {}), reply.get("cache", _NO_CACHE))
         return reply
+
+    def merge_reply(self, worker: faults.Worker, reply: Dict[str, object]) -> None:
+        """Fold a reply's metrics delta into :attr:`metrics` and note the
+        worker's cache size."""
+        self.metrics.merge(reply.get("metrics", {}))
+        if "cache_entries" in reply:
+            self._entries[worker] = int(reply["cache_entries"])
+
+    def merged_metrics(self) -> Dict[str, object]:
+        """What every worker counted, retired ones included: the snapshot
+        of :attr:`metrics`."""
+        return self.metrics.snapshot()
+
+    @property
+    def cache_entries(self) -> int:
+        """The live workers' result-cache sizes, summed."""
+        return sum(self._entries.values())
 
     def retire(self, worker: faults.Worker) -> None:
         """Kill a timed-out/crashed worker and mint a fresh replacement."""
         self._busy.remove(worker)
-        self._absorb(worker)
+        self._entries.pop(worker, None)
         worker.kill()
-        self.retired_total += 1
         if self._started:
             self._idle.append(self._spawn())
 
-    def _absorb(self, worker: faults.Worker) -> None:
-        metrics, cache = self._latest.pop(worker)
-        if metrics:
-            self._absorbed.merge(metrics)
-        # Entries die with the worker's in-memory map; hits/misses are
-        # lifetime totals worth keeping.
-        self._absorbed_cache["hits"] += int(cache.get("hits", 0))
-        self._absorbed_cache["misses"] += int(cache.get("misses", 0))
-
-    def merged_metrics(self) -> Dict[str, object]:
-        """Absorbed retirees plus the latest snapshot of every live worker."""
-        merged = MetricsRegistry()
-        merged.merge(self._absorbed.snapshot())
-        for metrics, _cache in list(self._latest.values()):
-            if metrics:
-                merged.merge(metrics)
-        return merged.snapshot()
-
-    def cache_stats(self) -> Dict[str, int]:
-        stats = {
-            "hits": self._absorbed_cache["hits"],
-            "misses": self._absorbed_cache["misses"],
-            "entries": 0,
-        }
-        for _metrics, cache in list(self._latest.values()):
-            stats["hits"] += int(cache.get("hits", 0))
-            stats["misses"] += int(cache.get("misses", 0))
-            stats["entries"] += int(cache.get("entries", 0))
-        return stats
-
     def stop(self) -> None:
         for worker in (*self._idle, *self._busy):
-            self._absorb(worker)
             worker.stop()
         self._idle.clear()
         self._busy.clear()
+        self._entries.clear()
         self._started = False

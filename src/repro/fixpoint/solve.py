@@ -34,7 +34,7 @@ Scheduling and SMT backend come in two strategies:
 
 Exhausting ``max_iterations`` does not raise: the result carries one
 budget-exhausted :class:`FixpointError` per clause still scheduled, so
-callers keep their diagnostics (tags, partial solution, statistics).
+callers keep their diagnostics (tags, partial solution).
 """
 
 from __future__ import annotations
@@ -169,13 +169,24 @@ class FixpointError:
         return f"invalid constraint {self.constraint.describe()}"
 
 
+_COUNT_HELP = {
+    "iterations": "clause visits across all weakening rounds",
+    "smt_queries": "satisfiability queries issued by the fixpoint loop",
+    "from_scratch_solves": "one-shot solver builds (non-incremental checks)",
+    "assumption_checks": "qualifier checks on a persistent incremental solver",
+    "incremental_hits": "assumption checks that reused an existing solver",
+    "batched_checks": "refute-any batches covering several qualifiers at once",
+}
+
+
 @dataclass
 class _RunStats:
     """Counters threaded through one ``solve`` call.
 
     Only what the fixpoint loop itself decides is counted here; each SMT
     check reports its own statistics to the metrics registry (see
-    :mod:`repro.smt.metrics_bridge`).
+    :mod:`repro.smt.metrics_bridge`).  :meth:`emit` records the counts as
+    ``fixpoint.*`` registry counters once per solve.
     """
 
     iterations: int = 0
@@ -196,58 +207,54 @@ class _RunStats:
             FixpointError(clause, kind=SOLVER_UNKNOWN, detail=reason)
         )
 
+    def emit(self, strategy: str, errors: int, elapsed: float) -> None:
+        """Count this solve into the ambient metrics registry.
+
+        Every count is a deterministic function of the constraint set, so
+        merged totals agree between serial and ``--jobs N`` runs (functions
+        are solved independently either way).
+        """
+        registry = current_obs().registry
+        registry.counter(
+            f"fixpoint.solves.{strategy}", help="fixpoint runs by weakening strategy"
+        ).inc()
+        counts = {
+            "iterations": self.iterations,
+            "smt_queries": self.queries,
+            "from_scratch_solves": self.from_scratch,
+            "assumption_checks": self.assumption_checks,
+            "incremental_hits": max(0, self.assumption_checks - self.contexts_built),
+            "batched_checks": self.batched_checks,
+        }
+        for name, value in counts.items():
+            if value:
+                registry.counter(f"fixpoint.{name}", help=_COUNT_HELP[name]).inc(value)
+        if errors:
+            registry.counter(
+                "fixpoint.errors", help="constraints left undischarged (all kinds)"
+            ).inc(errors)
+        registry.counter(
+            "fixpoint.solve_seconds",
+            help="wall-clock time inside FixpointSolver.solve",
+            unit="seconds",
+        ).inc(elapsed)
+
 
 @dataclass
 class FixpointResult:
+    """A solve's κ solution and undischarged constraints.  Its counts are
+    ``fixpoint.*`` counters in the metrics registry."""
+
     solution: Solution
     errors: List[FixpointError]
-    iterations: int = 0
-    smt_queries: int = 0
-    elapsed: float = 0.0
-    from_scratch_solves: int = 0
-    assumption_checks: int = 0
-    incremental_hits: int = 0
-    budget_exhausted: bool = False
-    batched_checks: int = 0
 
     @property
     def ok(self) -> bool:
         return not self.errors
 
-
-#: ``FixpointResult`` counter fields mirrored into ``fixpoint.<field>``
-#: registry counters after every solve.  All are deterministic functions of
-#: the constraint set, so merged totals agree between serial and ``--jobs N``
-#: runs (functions are solved independently either way).
-_RESULT_COUNTER_FIELDS = (
-    ("iterations", "clause visits across all weakening rounds"),
-    ("smt_queries", "satisfiability queries issued by the fixpoint loop"),
-    ("from_scratch_solves", "one-shot solver builds (non-incremental checks)"),
-    ("assumption_checks", "qualifier checks on a persistent incremental solver"),
-    ("incremental_hits", "assumption checks that reused an existing solver"),
-    ("batched_checks", "refute-any batches covering several qualifiers at once"),
-)
-
-
-def _emit_fixpoint_metrics(result: "FixpointResult", strategy: str) -> None:
-    """Mirror one solve's counters into the ambient metrics registry."""
-    registry = current_obs().registry
-    registry.counter(
-        f"fixpoint.solves.{strategy}", help="fixpoint runs by weakening strategy"
-    ).inc()
-    for field_name, help_text in _RESULT_COUNTER_FIELDS:
-        value = getattr(result, field_name)
-        if value:
-            registry.counter(f"fixpoint.{field_name}", help=help_text).inc(value)
-    if result.errors:
-        registry.counter(
-            "fixpoint.errors", help="constraints left undischarged (all kinds)"
-        ).inc(len(result.errors))
-    registry.counter(
-        "fixpoint.solve_seconds",
-        help="wall-clock time inside FixpointSolver.solve",
-        unit="seconds",
-    ).inc(result.elapsed)
+    @property
+    def budget_exhausted(self) -> bool:
+        return any(error.kind == BUDGET_EXHAUSTED for error in self.errors)
 
 
 def apply_solution(expr: Expr, solution: Solution, decls: Dict[str, KVarDecl]) -> Expr:
@@ -509,20 +516,8 @@ class FixpointSolver:
                         )
                     )
 
-        result = FixpointResult(
-            solution=solution,
-            errors=errors,
-            iterations=stats.iterations,
-            smt_queries=stats.queries,
-            elapsed=time.perf_counter() - started,
-            from_scratch_solves=stats.from_scratch,
-            assumption_checks=stats.assumption_checks,
-            incremental_hits=max(0, stats.assumption_checks - stats.contexts_built),
-            budget_exhausted=bool(budget_errors),
-            batched_checks=stats.batched_checks,
-        )
-        _emit_fixpoint_metrics(result, strategy)
-        return result
+        stats.emit(strategy, len(errors), time.perf_counter() - started)
+        return FixpointResult(solution=solution, errors=errors)
 
     # -- weakening strategies ----------------------------------------------------
 

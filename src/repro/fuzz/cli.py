@@ -163,10 +163,11 @@ def fuzz_main(argv: Optional[Sequence[str]] = None) -> int:
         report = run_fuzz(config)
 
     names = ",".join(o.name for o in config.resolved_oracles())
+    count = obs.registry.value
     print(
         f"fuzz: seed={config.seed} profile={config.profile} "
-        f"crates={report.crates} functions={report.functions} "
-        f"oracles={names} runs={report.oracle_runs} "
+        f"crates={count('fuzz.crates')} functions={count('fuzz.functions')} "
+        f"oracles={names} runs={count('fuzz.oracle_runs')} "
         f"elapsed={report.elapsed_seconds:.1f}s "
         f"divergences={len(report.divergences)}"
     )

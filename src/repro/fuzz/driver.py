@@ -104,10 +104,10 @@ class Divergence:
 
 @dataclass
 class FuzzReport:
+    """A campaign's findings; its counts are the ``fuzz.*`` counters of the
+    ambient metrics registry."""
+
     config: FuzzConfig
-    crates: int = 0
-    functions: int = 0
-    oracle_runs: int = 0
     elapsed_seconds: float = 0.0
     divergences: List[Divergence] = field(default_factory=list)
 
@@ -284,8 +284,6 @@ def run_fuzz(config: FuzzConfig) -> FuzzReport:
         registry.counter("fuzz.functions", help="functions generated").inc(
             len(crate.functions)
         )
-        report.crates += 1
-        report.functions += len(crate.functions)
 
         verify_started = time.monotonic()
         verdicts, errors = _run_all(crate, oracles)
@@ -295,7 +293,6 @@ def run_fuzz(config: FuzzConfig) -> FuzzReport:
             help="all-oracle verification wall time",
             unit="seconds",
         ).observe(time.monotonic() - verify_started)
-        report.oracle_runs += len(oracles)
 
         findings: List[Divergence] = []
 

@@ -35,11 +35,14 @@ class Span:
     def from_token(cls, token) -> "Span":
         """The span of a single lexer token.
 
-        Tokens never contain newlines (string literals in the supported
-        fragment are single-line), so the end position is start plus length.
+        A string literal may span lines; its end is then on its last line,
+        just after the text that follows its last newline.
         """
-        width = max(1, len(token.text))
-        return cls(token.line, token.column, token.line, token.column + width)
+        text = token.text
+        if "\n" not in text:
+            return cls(token.line, token.column, token.line, token.column + max(1, len(text)))
+        last = text.rindex("\n")
+        return cls(token.line, token.column, token.line + text.count("\n"), len(text) - last)
 
     def merge(self, other: Optional["Span"]) -> "Span":
         """The smallest span covering both ``self`` and ``other``."""

@@ -33,7 +33,7 @@ from __future__ import annotations
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass, field
-from typing import Iterator, Optional
+from typing import Dict, Iterator, Optional
 
 from repro.obs.events import EventLog
 from repro.obs.metrics import (
@@ -89,6 +89,19 @@ class ObsContext:
         # nondeterministic, so the always-on registry stays free of them.
         tracer = Tracer(enabled=trace, registry=registry if trace else None)
         return cls(registry=registry, tracer=tracer, events=EventLog(enabled=events))
+
+    def take_metrics(self) -> Dict[str, Dict[str, object]]:
+        """The registry's snapshot, with a fresh registry in its place.
+
+        The snapshot is what this context counted since the last take.  A
+        worker process ships one take per unit of work (a ``--jobs``
+        worker per function, a daemon worker per job), so its parent
+        merges exact deltas, whichever worker did the work.
+        """
+        registry, self.registry = self.registry, MetricsRegistry()
+        if self.tracer.registry is registry:
+            self.tracer.registry = self.registry
+        return registry.snapshot()
 
 
 _DEFAULT_OBS = ObsContext()

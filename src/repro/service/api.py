@@ -94,8 +94,10 @@ class JobReport:
     name: str
     ok: bool
     time: float
-    cache_hits: int
-    cache_misses: int
+    #: The job's ``cache.hits`` and ``cache.misses`` counts in the session
+    #: registry.
+    cache_hits: int = 0
+    cache_misses: int = 0
     functions: List[FunctionReport] = field(default_factory=list)
     error: Optional[str] = None  # parse/merge failure, before any checking
     exception: Optional[Exception] = None  # the original error, not serialised
@@ -174,19 +176,18 @@ def verify_job(job: VerifyJob, session: VerifySession) -> JobReport:
     :data:`TOO_DEEP`, which ``verify_source`` raises as a :class:`FluxError`.
     """
     started = time.perf_counter()
-    hits_before, misses_before = session.cache.hits, session.cache.misses
+    registry = session.metrics
+    hits, misses = registry.value("cache.hits"), registry.value("cache.misses")
     with session.activate():
         try:
-            return _verify_job_active(job, session)
+            report = _verify_job_active(job, session)
         except RecursionError:
-            return JobReport(
-                name=job.name,
-                ok=False,
-                time=time.perf_counter() - started,
-                cache_hits=session.cache.hits - hits_before,
-                cache_misses=session.cache.misses - misses_before,
-                error=TOO_DEEP,
+            report = JobReport(
+                name=job.name, ok=False, time=time.perf_counter() - started, error=TOO_DEEP
             )
+    report.cache_hits = registry.value("cache.hits") - hits
+    report.cache_misses = registry.value("cache.misses") - misses
+    return report
 
 
 def parse_program(
@@ -237,8 +238,6 @@ def _moved(result: FunctionResult, lines: int) -> FunctionResult:
 
 def _verify_job_active(job: VerifyJob, session: VerifySession) -> JobReport:
     started = time.perf_counter()
-    hits_before = session.cache.hits
-    misses_before = session.cache.misses
     memo = session.memo
     try:
         with obs_span("parse", job=job.name):
@@ -252,8 +251,6 @@ def _verify_job_active(job: VerifyJob, session: VerifySession) -> JobReport:
             name=job.name,
             ok=False,
             time=time.perf_counter() - started,
-            cache_hits=0,
-            cache_misses=0,
             error=str(error),
             exception=error,
         )
@@ -319,7 +316,7 @@ def _verify_job_active(job: VerifyJob, session: VerifySession) -> JobReport:
             session.cache.put(keys[name], _moved(result, -tables.fn_decls[name].line))
 
     verification = VerificationResult()
-    report = JobReport(name=job.name, ok=True, time=0.0, cache_hits=0, cache_misses=0)
+    report = JobReport(name=job.name, ok=True, time=0.0)
     for name, result, cached, lines in ordered:
         if result is None:
             result = _moved(fresh[name][0], lines)
@@ -341,8 +338,6 @@ def _verify_job_active(job: VerifyJob, session: VerifySession) -> JobReport:
     verification.time = time.perf_counter() - started
     report.time = verification.time
     report.ok = verification.ok
-    report.cache_hits = session.cache.hits - hits_before
-    report.cache_misses = session.cache.misses - misses_before
     report.result = verification
     return report
 

@@ -233,16 +233,14 @@ class ResultCache:
     def __init__(self, cache_dir: Optional[str] = None, enabled: bool = True) -> None:
         self.cache_dir = cache_dir
         self.enabled = enabled
-        self.hits = 0
-        self.misses = 0
-        self.swept = 0
         self._entries: Dict[str, FunctionResult] = {}
         if cache_dir is not None:
             os.makedirs(cache_dir, exist_ok=True)
-            self.swept = self._sweep_stale_tmp()
+            self._sweep_stale_tmp()
 
-    def _sweep_stale_tmp(self) -> int:
-        """Remove ``{path}.tmp.{pid}.{tid}`` files whose writer died mid-put.
+    def _sweep_stale_tmp(self) -> None:
+        """Remove ``{path}.tmp.{pid}.{tid}`` files whose writer died mid-put,
+        counting them as ``cache.tmp_swept`` in the ambient registry.
 
         A writer killed between the tmp write and ``os.replace`` leaves the
         tmp file behind forever; any pid that is no longer alive cannot
@@ -254,7 +252,7 @@ class ResultCache:
         try:
             entries = os.listdir(self.cache_dir)
         except OSError:
-            return 0
+            return
         own_pid = os.getpid()
         for entry in entries:
             match = _TMP_SUFFIX.search(entry)
@@ -272,7 +270,6 @@ class ResultCache:
             current_obs().registry.counter(
                 "cache.tmp_swept", help="orphaned cache tmp files removed at open"
             ).inc(removed)
-        return removed
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -295,12 +292,10 @@ class ResultCache:
                 except (OSError, ValueError, KeyError, TypeError):
                     result = None  # corrupt entry: treat as a miss
         if result is None:
-            self.misses += 1
             current_obs().registry.counter(
                 "cache.misses", help="function-result cache misses"
             ).inc()
             return None
-        self.hits += 1
         current_obs().registry.counter(
             "cache.hits", help="function-result cache hits"
         ).inc()
@@ -328,8 +323,3 @@ class ResultCache:
                 os.replace(tmp, path)
             except (OSError, faults.InjectedCrash, MemoryError):
                 pass  # a read-only cache dir degrades to in-memory
-
-    def clear(self) -> None:
-        self._entries.clear()
-        self.hits = 0
-        self.misses = 0

@@ -303,6 +303,21 @@ def _read_source(path: str) -> str:
         return handle.read()
 
 
+def _print_summary(jobs: Sequence[dict]) -> None:
+    """``--summary``: a job's verdict and each function's, from report dicts
+    (:meth:`repro.service.api.JobReport.to_dict`, or a daemon's report)."""
+    for job in jobs:
+        status = "ok" if job["ok"] else "FAILED"
+        print(f"{job['name']}: {status} ({job['cache_hits']} cached, {job['time']:.2f}s)")
+        if job.get("error"):
+            print(f"  error: {job['error']}")
+        for fn in job["functions"]:
+            marker = "*" if fn["cached"] else " "
+            print(f"  {marker} {fn['name']:32s} {fn['status']:8s} {fn['time']:6.3f}s")
+            for diagnostic in fn["diagnostics"]:
+                print(f"      {diagnostic}")
+
+
 def _run_via_server(args, jobs: List[VerifyJob]) -> int:
     """Thin-client mode: post every job to the daemon and render its reports.
 
@@ -351,18 +366,7 @@ def _run_via_server(args, jobs: List[VerifyJob]) -> int:
         "jobs": job_dicts,
     }
     if args.summary:
-        for job in job_dicts:
-            status = "ok" if job.get("ok") else "FAILED"
-            print(f"{job['name']}: {status} ({job.get('cache_hits', 0)} cached, "
-                  f"{job.get('time', 0.0):.2f}s)")
-            if job.get("error"):
-                print(f"  error: {job['error']}")
-            for fn in job.get("functions", ()):
-                marker = "*" if fn.get("cached") else " "
-                print(f"  {marker} {fn['name']:32s} {fn['status']:8s} "
-                      f"{fn.get('time', 0.0):6.3f}s")
-                for diagnostic in fn.get("diagnostics", ()):
-                    print(f"      {diagnostic}")
+        _print_summary(job_dicts)
     else:
         json.dump(payload, sys.stdout, indent=2)
         sys.stdout.write("\n")
@@ -478,16 +482,7 @@ def _dispatch(argv: Optional[Sequence[str]] = None) -> int:
             else:
                 print(f"{job.name}: ok ({len(job.functions)} functions)")
     elif args.summary:
-        for job in report.jobs:
-            status = "ok" if job.ok else "FAILED"
-            print(f"{job.name}: {status} ({job.cache_hits} cached, {job.time:.2f}s)")
-            if job.error:
-                print(f"  error: {job.error}")
-            for fn in job.functions:
-                marker = "*" if fn.cached else " "
-                print(f"  {marker} {fn.name:32s} {fn.status:8s} {fn.time:6.3f}s")
-                for diagnostic in fn.diagnostics:
-                    print(f"      {diagnostic}")
+        _print_summary([job.to_dict() for job in report.jobs])
     elif args.stats:
         print(render_snapshot(report.metrics, title="session metrics"))
     else:

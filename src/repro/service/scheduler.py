@@ -44,7 +44,7 @@ from repro.core.pipeline import FunctionResult, _verify_function, definition_map
 from repro.fixpoint.solve import DEADLINE_EXCEEDED, RESOURCE_EXHAUSTED, WORKER_CRASHED
 from repro.lang import ast
 from repro.mir.typeinfer import ProgramTypes
-from repro.obs import MetricsRegistry, ObsContext, current_obs, use_obs
+from repro.obs import ObsContext, current_obs, use_obs
 from repro.smt import SmtContext
 
 #: A worker's observability delta for one function: the registry snapshot
@@ -118,13 +118,6 @@ def _serve_functions(
         obs = ObsContext.create(trace=trace, events=events)
 
         def serve(name: str) -> object:
-            # A fresh registry per function makes the shipped snapshot an
-            # exact per-function delta the session can merge, whichever
-            # worker verified the function.
-            registry = MetricsRegistry()
-            obs.registry = registry
-            if obs.tracer.enabled:
-                obs.tracer.registry = registry
             with use_obs(obs):
                 try:
                     result = _verify_contained(
@@ -133,7 +126,7 @@ def _serve_functions(
                 except Exception as error:  # noqa: BLE001 — re-raised in the parent
                     return error
             payload: ObsPayload = {
-                "metrics": registry.snapshot(),
+                "metrics": obs.take_metrics(),
                 "trace": obs.tracer.drain(),
                 "events": obs.events.drain(),
             }

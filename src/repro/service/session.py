@@ -1,11 +1,11 @@
 """Per-run verification state.
 
-A :class:`VerifySession` owns everything that used to live in module-level
-globals: the SMT answer cache (an :class:`repro.smt.SmtContext`), the
-per-function result cache, and the observability context (metrics
-registry, span tracer, solver event log).  It also keeps the last job's
-front end (:class:`ItemMemo`), so that an edit re-parses and re-elaborates
-only the items it changed.
+A :class:`VerifySession` owns a verification run's mutable state, which
+module-level globals would share between runs: the SMT answer cache (an
+:class:`repro.smt.SmtContext`), the per-function result cache, and the
+observability context (metrics registry, span tracer, solver event log).
+It also keeps the last job's front end (:class:`ItemMemo`), so that an
+edit re-parses and re-elaborates only the items it changed.
 Two sessions never share mutable state, which is what makes it safe to run
 several verifications concurrently in one process — and what lets worker
 processes each build their own context without trampling a shared one.
@@ -99,8 +99,7 @@ class ItemMemo:
     :meth:`~repro.core.genv.GlobalEnv.register_program`) and ``tables`` its
     cache-key tables (:class:`repro.service.cache.KeyTables`), which reuse
     what they derived from those same objects.  It holds one job's worth,
-    and, like the session's cache counters, assumes the session verifies
-    one job at a time.
+    and assumes the session verifies one job at a time.
     """
 
     def __init__(self) -> None:
@@ -153,7 +152,8 @@ class VerifySession:
     ) -> None:
         self.smt = SmtContext()
         self.obs = ObsContext.create(trace=trace, events=events)
-        self.cache = ResultCache(cache_dir=cache_dir, enabled=use_cache)
+        with use_obs(self.obs):  # opening a cache_dir counts what it sweeps
+            self.cache = ResultCache(cache_dir=cache_dir, enabled=use_cache)
         self.memo = ItemMemo()
         self.jobs = max(1, int(jobs))
         self.fn_deadline = fn_deadline if fn_deadline and fn_deadline > 0 else None

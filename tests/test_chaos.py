@@ -190,7 +190,7 @@ class TestDaemonContainment:
             while record.active:
                 await asyncio.sleep(0.01)
             await queue.stop()
-            return record, pool
+            return record, queue.registry.value("daemon.sessions.retired")
 
         with faults.inject_faults(plan):
             return asyncio.run(scenario())
@@ -198,31 +198,31 @@ class TestDaemonContainment:
     def test_daemon_hang_times_out_and_reaps_worker(self):
         baseline = tuple(faults.live_children())
         plan = _plan(faults.FaultSpec(site="daemon.job", kind="hang", delay=30.0))
-        record, pool = self._run_queue_job(plan, name="hung", job_timeout=0.3)
+        record, retired = self._run_queue_job(plan, name="hung", job_timeout=0.3)
         assert record.state == "failed"
         assert record.error["kind"] == "TIMEOUT"
-        assert pool.retired_total == 1
+        assert retired == 1
         multiprocessing.active_children()
         leaked = [pid for pid in faults.live_children() if pid not in baseline]
         assert leaked == []
 
     def test_daemon_oom_is_structured_error(self):
         plan = _plan(faults.FaultSpec(site="daemon.job", kind="oom"))
-        record, pool = self._run_queue_job(plan, name="oom")
+        record, retired = self._run_queue_job(plan, name="oom")
         assert record.state == "failed"
         assert record.error["kind"] == "INTERNAL"
         assert "memory" in record.error["message"]
         # The worker caught the MemoryError itself; it was not killed.
-        assert pool.retired_total == 0
+        assert retired == 0
 
     def test_daemon_crash_retry_is_counted(self):
         plan = _plan(
             faults.FaultSpec(site="daemon.job", kind="crash", match="flaky", attempts=1)
         )
-        record, pool = self._run_queue_job(plan, name="flaky")
+        record, retired = self._run_queue_job(plan, name="flaky")
         assert record.state == "done"
         assert record.meta["attempts"] == 2
-        assert pool.retired_total == 1
+        assert retired == 1
 
 
 class TestChaosCampaign:
@@ -233,8 +233,9 @@ class TestChaosCampaign:
         from repro.obs import ObsContext, use_obs
 
         config = FuzzConfig(seed=1, budget=4, profile="small", chaos=True)
-        with use_obs(ObsContext.create()):
+        obs = ObsContext.create()
+        with use_obs(obs):
             report = run_fuzz(config)
-        assert report.crates == 4
+        assert obs.registry.value("fuzz.crates") == 4
         details = [(d.kind, d.detail) for d in report.divergences]
         assert details == []

@@ -5,11 +5,13 @@ fallback."""
 import asyncio
 import dataclasses
 import json
+import re
 import socket
 import threading
 import time
 import urllib.request
 import zlib
+from typing import Dict
 
 import pytest
 
@@ -155,6 +157,20 @@ def _plan(*specs: faults.FaultSpec) -> faults.FaultPlan:
     return faults.FaultPlan(seed=0, specs=specs)
 
 
+def _retired(queue: JobQueue) -> int:
+    return queue.registry.value("daemon.sessions.retired")
+
+
+def _series(exposition: str) -> Dict[str, float]:
+    """The value of each series in a Prometheus exposition."""
+    values = {}
+    for line in exposition.splitlines():
+        if line and not line.startswith("#"):
+            name, value = line.rsplit(" ", 1)
+            values[name] = float(value)
+    return values
+
+
 class TestQueueWorkers:
     def test_timeout_kills_and_replaces_worker(self):
         # A job hung past its budget fails with TIMEOUT and its worker is
@@ -174,7 +190,7 @@ class TestQueueWorkers:
             assert slow.state == "failed"
             assert slow.error["kind"] == "TIMEOUT"
             assert (slow.request.source, slow.request.extra_sources) == ("", ())
-            assert pool.retired_total == 1
+            assert _retired(queue) == 1
             assert pool.warm == 1
             fast, _ = queue.submit(JobRequest(source=INC, name="fast"))
             while fast.active:
@@ -205,7 +221,7 @@ class TestQueueWorkers:
             assert record.state == "done"
             assert record.report["ok"] is True
             assert record.meta["attempts"] == 2
-            assert pool.retired_total == 1
+            assert _retired(queue) == 1
             await queue.stop()
 
         with faults.inject_faults(plan):
@@ -226,11 +242,29 @@ class TestQueueWorkers:
             assert record.state == "failed"
             assert record.error["kind"] == "WORKER_CRASHED"
             assert record.meta["attempts"] == 2  # first run + one retry
-            assert pool.retired_total == 2
+            assert _retired(queue) == 2
             await queue.stop()
 
         with faults.inject_faults(plan):
             asyncio.run(scenario())
+
+    def test_job_delta_is_merged_before_the_record_is_done(self):
+        async def scenario():
+            pool = _fresh_pool()
+            queue = JobQueue(pool, workers=1, job_timeout=None)
+            queue.start()
+            record, _ = queue.submit(JobRequest(source=INC, name="one"))
+            while record.state != "done":
+                await asyncio.sleep(0.001)
+            merged = pool.merged_metrics()
+            entries = pool.cache_entries
+            await queue.stop()
+            return merged, entries
+
+        merged, entries = asyncio.run(scenario())
+        assert merged["cache.misses"]["value"] == 1
+        assert merged["fixpoint.solves.incremental"]["value"] == 1
+        assert entries == 1
 
     def test_stop_abandons_pending_backlog(self):
         plan = _plan(
@@ -476,6 +510,35 @@ class TestDaemonEndToEnd:
         assert record.report is not None and record.report["ok"] is True
         assert handle.daemon.state == "stopped"
 
+    def test_healthz_cache_counts_are_the_metrics_counters(self):
+        with run_daemon() as daemon:
+            client.verify(daemon.url, INC, name="one")
+            client.verify(daemon.url, INC, name="two")
+            health = client.healthz(daemon.url)
+            series = _series(client.metrics(daemon.url))
+        assert health["cache"] == {"hits": 1, "misses": 1, "entries": 1}
+        assert series["repro_cache_hits_total"] == 1
+        assert series["repro_cache_misses_total"] == 1
+        assert series["repro_daemon_cache_hit_ratio"] == 0.5
+
+    def test_counters_stay_monotone_across_a_worker_retirement(self):
+        with run_daemon(drain_timeout=10.0) as daemon:
+            client.verify(daemon.url, INC, name="before")
+            before = _series(client.metrics(daemon.url))
+            daemon.daemon.queue.job_timeout = 1e-6
+            assert client.verify(daemon.url, FILL, name="slow")["state"] == "failed"
+            daemon.daemon.queue.job_timeout = None
+            client.verify(daemon.url, INC, name="after")
+            after = _series(client.metrics(daemon.url))
+            health = client.healthz(daemon.url)
+        assert health["workers"]["retired"] == after["repro_daemon_sessions_retired_total"] == 1
+        # The replacement worker's cache starts cold.
+        assert health["cache"] == {"hits": 0, "misses": 2, "entries": 1}
+        assert after["repro_cache_misses_total"] == 2
+        solver = [name for name in before if name.startswith(("repro_cache_", "repro_smt_"))]
+        assert solver
+        assert all(after[name] >= before[name] for name in solver)
+
     def test_warm_session_serves_repeat_from_cache(self):
         with run_daemon() as daemon:
             first = client.verify(daemon.url, INC, name="one")
@@ -542,6 +605,19 @@ class TestCliClient:
             assert payload["ok"] is True
             assert payload["server"] == daemon.url
             assert payload["jobs"][0]["functions"][0]["name"] == "inc"
+
+    def test_summary_is_the_same_through_the_server(self, tmp_path, capsys):
+        source_path = tmp_path / "prog.rs"
+        source_path.write_text(INC + BAD)
+        assert cli_main(["--summary", str(source_path)]) == 1
+        local = capsys.readouterr().out
+        with run_daemon() as daemon:
+            assert cli_main(["--server", daemon.url, "--summary", str(source_path)]) == 1
+            remote = capsys.readouterr().out
+        times = re.compile(r"\d+\.\d+s")
+        assert times.sub("_s", remote) == times.sub("_s", local)
+        assert local.startswith("prog.rs: FAILED (0 cached, ")
+        assert len(local.splitlines()) == 4  # the job, inc, bad and its diagnostic
 
     def test_cli_falls_back_when_no_daemon_listens(self, tmp_path, capsys):
         source_path = tmp_path / "inc.rs"

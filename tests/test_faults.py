@@ -13,7 +13,7 @@ import pytest
 
 from repro import faults
 from repro.faults import procs
-from repro.service.cache import ResultCache
+from repro.service.cli import main as cli_main
 from repro.service.session import VerifySession
 
 
@@ -336,17 +336,23 @@ class TestBreakerAndProcs:
 # ---------------------------------------------------------------------------
 
 
+def _dead_pid() -> int:
+    """The pid of a child that has exited: a writer that died mid-put."""
+    process = multiprocessing.get_context("fork").Process(target=lambda: None)
+    process.start()
+    process.join()
+    return process.pid
+
+
+def _swept(cache_dir: str) -> int:
+    """``cache.tmp_swept`` of a session that opens ``cache_dir``."""
+    return VerifySession(cache_dir=cache_dir).metrics.value("cache.tmp_swept")
+
+
 class TestCacheSweep:
     def test_open_sweeps_dead_writer_tmp_files(self, tmp_path):
         cache_dir = str(tmp_path)
-        # A writer that died mid-put: fork a child just to obtain a pid that
-        # is guaranteed dead, then leave a tmp file in its name.
-        context = multiprocessing.get_context("fork")
-        process = context.Process(target=lambda: None)
-        process.start()
-        process.join()
-        dead_pid = process.pid
-        stale = tmp_path / f"abc123.json.tmp.{dead_pid}.140001"
+        stale = tmp_path / f"abc123.json.tmp.{_dead_pid()}.140001"
         stale.write_text("{}")
         # A live writer (this process) must be left alone.
         live = tmp_path / f"def456.json.tmp.{os.getpid()}.140002"
@@ -355,13 +361,23 @@ class TestCacheSweep:
         entry = tmp_path / "0123abc.json"
         entry.write_text("{}")
 
-        cache = ResultCache(cache_dir=cache_dir)
-        assert cache.swept == 1
+        assert _swept(cache_dir) == 1
         assert not stale.exists()
         assert live.exists()
         assert entry.exists()
         # Re-opening finds nothing left to sweep.
-        assert ResultCache(cache_dir=cache_dir).swept == 0
+        assert _swept(cache_dir) == 0
+
+    def test_sweep_lands_in_the_session_metrics(self, tmp_path):
+        cache_dir = tmp_path / "cache"
+        cache_dir.mkdir()
+        (cache_dir / f"abc123.json.tmp.{_dead_pid()}.140001").write_text("{}")
+        source = tmp_path / "inc.rs"
+        source.write_text("fn inc(x: i32) -> i32 { x + 1 }\n")
+        metrics = tmp_path / "metrics.prom"
+        argv = ["--cache-dir", str(cache_dir), "--metrics-out", str(metrics), str(source)]
+        assert cli_main(argv) == 0
+        assert "repro_cache_tmp_swept_total 1" in metrics.read_text().splitlines()
 
     def test_injected_write_crash_leaves_sweepable_tmp(self, tmp_path, monkeypatch):
         # A cache.write crash fires between the tmp write and the rename;
@@ -393,15 +409,12 @@ fn inc(x: i32) -> i32 { x + 1 }
         assert tmp_files  # the orphan the sweep exists for
         # ...but this process is alive, so only a *later* open (here forged
         # by renaming to a dead pid) may remove it.
-        context = multiprocessing.get_context("fork")
-        process = context.Process(target=lambda: None)
-        process.start()
-        process.join()
+        dead_pid = _dead_pid()
         for tmp_file in tmp_files:
             stem, _, tail = tmp_file.name.partition(".tmp.")
             _pid, _, tid = tail.partition(".")
-            tmp_file.rename(tmp_path / f"{stem}.tmp.{process.pid}.{tid}")
-        assert ResultCache(cache_dir=str(tmp_path)).swept == len(tmp_files)
+            tmp_file.rename(tmp_path / f"{stem}.tmp.{dead_pid}.{tid}")
+        assert _swept(str(tmp_path)) == len(tmp_files)
 
 
 # ---------------------------------------------------------------------------

@@ -220,9 +220,12 @@ class TestSolver:
     def test_stats_populated(self):
         solver = FixpointSolver()
         x = Var("x")
-        result = solver.solve(c_forall("x", INT, gt(x, 0), c_pred(ge(x, 1))))
-        assert result.smt_queries >= 1
-        assert result.elapsed >= 0
+        obs = ObsContext.create()
+        with use_obs(obs):
+            solver.solve(c_forall("x", INT, gt(x, 0), c_pred(ge(x, 1))))
+        assert obs.registry.value("fixpoint.smt_queries") >= 1
+        assert "fixpoint.solve_seconds" in obs.registry
+        assert obs.registry.value("fixpoint.solves.incremental") == 1
 
 
 def _loop_invariant_constraint():
@@ -276,18 +279,26 @@ class TestStrategies:
         decls = [KVarDecl("inv", (("i", INT), ("n", INT)))]
         obs = ObsContext.create()
         with use_obs(obs):
-            result = self._solve("incremental", _loop_invariant_constraint(), decls)
-        assert result.assumption_checks > 0
-        assert result.incremental_hits > 0
-        assert obs.registry.value("smt.clauses_retained") > 0
-        assert result.from_scratch_solves < result.smt_queries
+            self._solve("incremental", _loop_invariant_constraint(), decls)
+        registry = obs.registry
+        assert registry.value("fixpoint.assumption_checks") > 0
+        assert registry.value("fixpoint.incremental_hits") > 0
+        assert registry.value("smt.clauses_retained") > 0
+        assert registry.value("fixpoint.from_scratch_solves") < registry.value(
+            "fixpoint.smt_queries"
+        )
 
     def test_naive_does_no_incremental_work(self):
         decls = [KVarDecl("inv", (("i", INT), ("n", INT)))]
-        result = self._solve("naive", _loop_invariant_constraint(), decls)
-        assert result.assumption_checks == 0
-        assert result.incremental_hits == 0
-        assert result.from_scratch_solves == result.smt_queries
+        obs = ObsContext.create()
+        with use_obs(obs):
+            self._solve("naive", _loop_invariant_constraint(), decls)
+        registry = obs.registry
+        assert registry.value("fixpoint.assumption_checks") == 0
+        assert registry.value("fixpoint.incremental_hits") == 0
+        assert registry.value("fixpoint.from_scratch_solves") == registry.value(
+            "fixpoint.smt_queries"
+        ) > 0
 
     def test_unknown_strategy_rejected(self):
         solver = FixpointSolver(strategy="bogus")

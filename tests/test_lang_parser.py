@@ -44,6 +44,25 @@ class TestLexer:
     def test_positions_after_comments_and_multiline_strings(self, source, positions):
         assert [(t.text, t.line, t.column) for t in tokenize(source)] == positions
 
+    def test_multiline_string_span_ends_on_its_last_line(self):
+        string, name, _ = tokenize('"a\nbc" x')
+        assert string.span.to_dict() == {"line": 1, "column": 1, "end_line": 2, "end_column": 4}
+        assert name.span.to_dict() == {"line": 2, "column": 5, "end_line": 2, "end_column": 6}
+        name, string, _ = tokenize('x "a\nbc"')
+        merged = name.span.merge(string.span)
+        assert merged.to_dict() == {"line": 1, "column": 1, "end_line": 2, "end_column": 4}
+
+    def test_spans_around_a_multiline_string(self):
+        program = parse_program(
+            '#[flux::opaque("a\nbc")]\nfn f() {\n    assert!(true, "d\nef");\n}\n'
+        )
+        fn = program.functions[0]
+        attribute = fn.attrs[0].span.to_dict()
+        assert attribute == {"line": 1, "column": 1, "end_line": 2, "end_column": 6}
+        (macro,) = fn.body.stmts
+        assert isinstance(macro, ast.MacroStmt)
+        assert macro.span.to_dict() == {"line": 4, "column": 5, "end_line": 5, "end_column": 6}
+
     def test_attribute_token(self):
         tokens = tokenize("#[flux::sig(fn())]")
         assert tokens[0].text == "#["

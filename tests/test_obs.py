@@ -239,6 +239,22 @@ class TestObsContext:
         with use_obs(second):
             assert current_obs().registry.snapshot() == {}
 
+    def test_take_metrics_ships_the_delta_since_the_last_take(self):
+        context = ObsContext.create(trace=True)
+        with use_obs(context):
+            current_obs().registry.counter("n").inc(2)
+            first = context.take_metrics()
+            current_obs().registry.counter("n").inc()
+            with span("phase"):
+                pass
+        assert first["n"]["value"] == 2
+        second = context.take_metrics()
+        assert second["n"]["value"] == 1
+        # The tracer's phase counters follow the registry they were taken with.
+        assert "phase_seconds.phase" in second
+        assert context.registry.snapshot() == {}
+        assert context.tracer.registry is context.registry
+
 
 # ---------------------------------------------------------------------------
 # Pipeline integration: determinism across scheduling modes

@@ -10,6 +10,7 @@ import pytest
 
 from repro.core import FluxError
 from repro.core.pipeline import FunctionResult, VerificationResult
+from repro.obs import ObsContext, use_obs
 from repro.service import (
     VerifyJob,
     VerifySession,
@@ -64,6 +65,11 @@ def _answer() -> SolverAnswer:
 def _queries(registry) -> int:
     """SMT checks recorded in ``registry``, one-shot plus incremental."""
     return registry.value("smt.queries.oneshot") + registry.value("smt.queries.incremental")
+
+
+def _cache_traffic(registry):
+    """``(cache.hits, cache.misses)`` recorded in ``registry``."""
+    return registry.value("cache.hits"), registry.value("cache.misses")
 
 
 class TestAnswerCache:
@@ -133,7 +139,7 @@ class TestVerificationResult:
         """
         result = verify_source(INC2, extra_sources=[declaration, INC])
         assert result.ok
-        # First match wins on the duplicate name, as the old scan did.
+        # First match wins on the duplicate name.
         assert result.function("inc").trusted is True
         # Same through the service, in either order: the scheduler must pick
         # the bodied definition, not the declaration that shadows it.
@@ -201,12 +207,12 @@ class TestResultCache:
         session = VerifySession()
         cold = verify_source(INC + INC2 + SUM, session=session)
         assert cold.ok
-        assert session.cache.hits == 0 and session.cache.misses == 3
+        assert _cache_traffic(session.metrics) == (0, 3)
         queries_after_cold = _queries(session.metrics)
 
         warm = verify_source(INC + INC2 + SUM, session=session)
         assert warm.ok
-        assert session.cache.hits == 3, "warm run must be served from cache"
+        assert _cache_traffic(session.metrics) == (3, 3), "warm run must be served from cache"
         assert _queries(session.metrics) == queries_after_cold, "no SMT work on warm run"
         assert [fn.name for fn in warm.functions] == [fn.name for fn in cold.functions]
 
@@ -256,7 +262,7 @@ class TestResultCache:
         assert not first.ok
         second = verify_source(BAD, session=session)
         assert not second.ok
-        assert session.cache.hits == 1
+        assert _cache_traffic(session.metrics) == (1, 1)
         assert [str(d) for d in second.diagnostics] == [
             str(d) for d in first.diagnostics
         ]
@@ -265,18 +271,18 @@ class TestResultCache:
         session = VerifySession(use_cache=False)
         verify_source(INC, session=session)
         verify_source(INC, session=session)
-        assert session.cache.hits == 0 and session.cache.misses == 0
+        assert _cache_traffic(session.metrics) == (0, 0)
 
     def test_disk_persistence_across_sessions(self, tmp_path):
         cache_dir = str(tmp_path / "flux-cache")
         first = VerifySession(cache_dir=cache_dir)
         verify_source(INC + INC2, session=first)
-        assert first.cache.misses == 2
+        assert _cache_traffic(first.metrics) == (0, 2)
 
         fresh = VerifySession(cache_dir=cache_dir)
         result = verify_source(INC + INC2, session=fresh)
         assert result.ok
-        assert fresh.cache.hits == 2 and fresh.cache.misses == 0
+        assert _cache_traffic(fresh.metrics) == (2, 0)
 
     def test_non_numeric_metric_entry_is_a_miss(self, tmp_path):
         cache_dir = str(tmp_path / "flux-cache")
@@ -289,9 +295,10 @@ class TestResultCache:
         payload["metrics"] = {"fixpoint.smt_queries": "3"}
         with open(path, "w", encoding="utf-8") as handle:
             json.dump(payload, handle)
-        cache = ResultCache(cache_dir=cache_dir)
-        assert cache.get(entry[: -len(".json")]) is None
-        assert cache.misses == 1 and cache.hits == 0
+        obs = ObsContext.create()
+        with use_obs(obs):
+            assert ResultCache(cache_dir=cache_dir).get(entry[: -len(".json")]) is None
+        assert _cache_traffic(obs.registry) == (0, 1)
 
     def test_editing_adt_reached_only_via_callee_signature_invalidates(self):
         # ``use_mk`` never names S itself — it only calls ``mk() -> S`` — but
@@ -369,7 +376,7 @@ class TestScheduler:
         verify_source(self.PROGRAM, session=session)
         assert _queries(session.metrics) > 0  # worker deltas merged back
         warm = verify_source(self.PROGRAM, session=session)
-        assert session.cache.hits == 4
+        assert _cache_traffic(session.metrics) == (4, 4)
         assert not warm.ok  # BAD stays rejected from cache
 
 
