@@ -10,10 +10,15 @@ Drives a real in-process daemon over HTTP end to end:
 2. measures a **cold** ``python -m repro`` subprocess against a **warm**
    daemon re-verification of an already-cached program and asserts the
    daemon answers at least ``--min-speedup`` (default 5) times faster;
-3. scrapes ``/metrics`` and asserts the solver counters (``smt.*``) are
+3. submits :data:`EDITS` edits of a small generated crate, each
+   inserting one more line above its failing function, and asserts each
+   daemon report equals a cold in-process report of the same source but
+   for cache traffic, times and metrics (the warm worker serves the moved
+   function from its cache and reuses unchanged report rows);
+4. scrapes ``/metrics`` and asserts the solver counters (``smt.*``) are
    non-zero, and that ``/healthz`` reports the cache hits and misses and
    the retired workers ``/metrics`` counts;
-4. shuts the daemon down gracefully and asserts it drained.
+5. shuts the daemon down gracefully and asserts it drained.
 
 Run from the repo root::
 
@@ -24,6 +29,7 @@ Run from the repo root::
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import subprocess
 import sys
@@ -36,6 +42,7 @@ sys.path.insert(0, str(REPO_ROOT / "src"))
 from repro.bench.suite import all_benchmarks  # noqa: E402
 from repro.daemon import client  # noqa: E402
 from repro.daemon.testing import run_daemon  # noqa: E402
+from repro.fuzz.generator import crate_seed, generate_crate  # noqa: E402
 from repro.service import VerifyJob, VerifySession, verify_job  # noqa: E402
 
 
@@ -94,6 +101,61 @@ def check_one_store(health: dict, exposition: str) -> int:
         f"misses {health['cache']['misses']}, retired workers "
         f"{health['workers']['retired']}: {'agree' if not failures else 'DISAGREE'}"
     )
+    return failures
+
+
+#: Line-inserting edits of the small crate in step 3.
+EDITS = 10
+
+
+def edited_crates(count: int):
+    """``count`` versions of the first small generated crate with a failing
+    function, the k-th with k comment lines inserted above that function."""
+    crate = next(
+        crate
+        for index in itertools.count()
+        if (crate := generate_crate(crate_seed(0, index), "small")).expected_failures
+    )
+    failing = crate.expected_failures[0]
+    for edit in range(1, count + 1):
+        above = "".join(f"// edit {k}\n" for k in range(edit))
+        yield "\n".join(
+            above + fn.source if fn.name == failing else fn.source for fn in crate.functions
+        )
+
+
+def check_edits(url: str, count: int) -> int:
+    """Failures among ``count`` edits: daemon reports whose
+    :func:`canonical_verdict` differs from a cold in-process report's."""
+    failures = 0
+    hits = 0
+    for number, source in enumerate(edited_crates(count), start=1):
+        record = client.verify(url, source, name="edited-crate", timeout=600.0)
+        if record["state"] != "done":
+            print(
+                f"FAIL edit {number}: daemon job {record['state']}: {record.get('error')}",
+                file=sys.stderr,
+            )
+            failures += 1
+            continue
+        cold = verify_job(
+            VerifyJob(source=source, name="edited-crate"), VerifySession(use_cache=False)
+        )
+        remote = canonical_verdict(record["report"])
+        local = canonical_verdict(cold.to_dict())
+        hits += record["report"]["cache_hits"]
+        if remote != local:
+            print(f"FAIL edit {number}: daemon report differs from a cold one", file=sys.stderr)
+            print(f"  local : {local.decode()}", file=sys.stderr)
+            print(f"  daemon: {remote.decode()}", file=sys.stderr)
+            failures += 1
+    print(
+        f"edits: {count} line insertions above a failing function, daemon reports "
+        f"{'equal' if not failures else 'DIFFER FROM'} cold ones ({hits} cache hits)"
+    )
+    if not hits:
+        print("FAIL: the edits never hit the warm worker's cache", file=sys.stderr)
+        failures += 1
     return failures
 
 
@@ -207,8 +269,8 @@ def main(argv=None) -> int:
         # The daemon verified this program in step 1 (or now, on subsets):
         # a re-submission under a fresh job name is answered by the warm
         # session's function-result cache, not by request deduplication.
-        # Best-of-3 with a tight poll interval, so scheduler jitter and
-        # the client's polling cadence don't dominate the measurement.
+        # Best-of-3, so scheduler jitter doesn't dominate the measurement;
+        # the client's held wait answers as soon as the job ends.
         client.verify(
             daemon.url,
             speedup_case.program.flux_source,
@@ -226,7 +288,6 @@ def main(argv=None) -> int:
                 name=f"{speedup_case.name}-warm-{attempt}",
                 only=speedup_case.program.flux_functions,
                 timeout=600.0,
-                poll_interval=0.002,
             )
             elapsed = time.perf_counter() - started
             if elapsed < warm_elapsed:
@@ -249,7 +310,10 @@ def main(argv=None) -> int:
             print("FAIL: warm run did not hit the function-result cache", file=sys.stderr)
             failures += 1
 
-        # -- 3. metrics exposition -------------------------------------------
+        # -- 3. edits above a failing function --------------------------------
+        failures += check_edits(daemon.url, EDITS)
+
+        # -- 4. metrics exposition -------------------------------------------
         exposition = client.metrics(daemon.url)
         smt_counters = {
             line.split()[0]: float(line.split()[1])
@@ -271,7 +335,7 @@ def main(argv=None) -> int:
 
         handle = daemon
 
-    # -- 4. clean shutdown ----------------------------------------------------
+    # -- 5. clean shutdown ----------------------------------------------------
     if handle.daemon.state != "stopped" or handle.daemon.queue.active != 0:
         print(
             f"FAIL: daemon did not stop cleanly "

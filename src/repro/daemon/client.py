@@ -161,9 +161,21 @@ def submit(
     return str(response["job_id"])
 
 
-def status(server: str, job_id: str, timeout: float = 10.0) -> Dict[str, object]:
-    """``GET /jobs/<id>``: the job record (state, timings, report when done)."""
-    return _request(server, f"/jobs/{job_id}", timeout=timeout)  # type: ignore[return-value]
+def status(
+    server: str, job_id: str, timeout: float = 10.0, wait: Optional[float] = None
+) -> Dict[str, object]:
+    """``GET /jobs/<id>``: the job record (state, timings, report when done).
+
+    With ``wait`` (seconds), ``GET /jobs/<id>?wait=S``: the daemon holds
+    the answer until the job is ``done`` or ``failed`` or ``wait`` seconds
+    pass (it holds a read 30 s at most), and ``timeout`` is the socket
+    timeout on top of the wait.
+    """
+    if wait is None:
+        return _request(server, f"/jobs/{job_id}", timeout=timeout)  # type: ignore[return-value]
+    return _request(  # type: ignore[return-value]
+        server, f"/jobs/{job_id}?wait={wait:.3f}", timeout=timeout + wait
+    )
 
 
 def wait(
@@ -172,7 +184,14 @@ def wait(
     timeout: float = 120.0,
     poll_interval: float = 0.05,
 ) -> Dict[str, object]:
-    """Poll ``GET /jobs/<id>`` until the job reaches a terminal state.
+    """Wait until the job reaches a terminal state; return its record.
+
+    Each round is one held read (:func:`status` with ``wait``) that asks
+    for the time left before the deadline, so the daemon answers as soon
+    as the job ends.  A round that comes back with the job still active
+    (the daemon's cap on a held read passed, or a daemon that answers at
+    once) is followed by another; ``poll_interval`` is the least time
+    between the starts of two rounds.
 
     Returns the final record (``state`` is ``"done"`` or ``"failed"``);
     raises :class:`DaemonError` with kind ``TIMEOUT`` when the deadline
@@ -180,14 +199,16 @@ def wait(
     """
     deadline = time.monotonic() + timeout
     while True:
-        record = status(server, job_id)
+        started = time.monotonic()
+        record = status(server, job_id, wait=max(0.0, deadline - started))
         if record.get("state") in ("done", "failed"):
             return record
-        if time.monotonic() >= deadline:
+        now = time.monotonic()
+        if now >= deadline:
             raise DaemonError(
                 "TIMEOUT", f"job {job_id} still {record.get('state')} after {timeout}s"
             )
-        time.sleep(poll_interval)
+        time.sleep(max(0.0, min(started + poll_interval, deadline) - now))
 
 
 def verify(
@@ -200,7 +221,7 @@ def verify(
     timeout: float = 120.0,
     poll_interval: float = 0.05,
 ) -> Dict[str, object]:
-    """Submit and wait; returns the terminal job record."""
+    """Submit and :func:`wait`; returns the terminal job record."""
     job_id = submit(
         server,
         source,

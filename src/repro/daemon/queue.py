@@ -37,6 +37,11 @@ structured ``WORKER_CRASHED`` payload.  ``GET /jobs/<id>`` reports the
 attempt count and the pid of the worker that produced the outcome.
 Timeouts are not retried: a deterministic over-budget job would just time
 out again.
+
+A reader may wait for a job to end (:meth:`JobQueue.wait_ended`, behind
+``GET /jobs/<id>?wait=S``); it is woken when the job reaches ``done`` or
+``failed``, so a job re-run after a crash wakes it only once, at its final
+state.
 """
 
 from __future__ import annotations
@@ -106,6 +111,8 @@ class JobQueue:
         self._stopping = False
         self._wakeup: Optional[asyncio.Event] = None
         self._idle: Optional[asyncio.Event] = None
+        #: Job id -> the event its waiters wait on, set when the job ends.
+        self._ended: Dict[str, asyncio.Event] = {}
         self._tasks: list = []
         self._executor: Optional[ThreadPoolExecutor] = None
 
@@ -224,6 +231,19 @@ class JobQueue:
     def get(self, job_id: str) -> Optional[JobRecord]:
         return self._records.get(job_id)
 
+    async def wait_ended(self, record: JobRecord, timeout: float) -> None:
+        """Return once ``record`` is ``done`` or ``failed``, or after
+        ``timeout`` seconds, whichever comes first (call from the loop)."""
+        if not record.active:
+            return
+        ended = self._ended.get(record.id)
+        if ended is None:
+            ended = self._ended[record.id] = asyncio.Event()
+        try:
+            await asyncio.wait_for(ended.wait(), timeout)
+        except asyncio.TimeoutError:
+            pass
+
     def submit(self, request: JobRequest) -> Tuple[JobRecord, bool]:
         """Admit a request; returns ``(record, deduplicated)``.
 
@@ -336,7 +356,8 @@ class JobQueue:
         self._counter(counter, help).inc()
 
     def _end(self, record: JobRecord) -> None:
-        """Close a record that reached ``done`` or ``failed``.
+        """Close a record that reached ``done`` or ``failed`` and wake its
+        waiters.
 
         From here on only its name, tenant and ``meta["key"]`` are read, so
         the sources go: kept, they would live for the record's retention.
@@ -344,6 +365,9 @@ class JobQueue:
         record.finished = time.time()
         self.quotas.release(record.request.tenant)
         record.request = replace(record.request, source="", extra_sources=())
+        ended = self._ended.pop(record.id, None)
+        if ended is not None:
+            ended.set()
 
     def _retire(self, worker: faults.Worker) -> None:
         """Kill a compromised worker; the pool mints a replacement."""

@@ -18,6 +18,8 @@ Endpoints (full reference with JSON schemas in ``docs/daemon.md``):
 
 * ``POST /verify`` — submit a job, returns ``202`` with the job id;
 * ``GET /jobs/<id>`` — job status plus the structured report when done;
+  with ``?wait=S`` the answer is held until the job ends or ``S`` seconds
+  pass (at most :data:`MAX_WAIT_SECONDS`);
 * ``GET /metrics`` — Prometheus text exposition of the session registry
   plus daemon-level gauges (queue depth, running jobs, cache hit ratio);
 * ``GET /healthz`` — liveness, uptime, queue/quota snapshot.
@@ -32,9 +34,11 @@ from __future__ import annotations
 
 import asyncio
 import json
+import math
 import signal
 import threading
 import time
+import urllib.parse
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Tuple
 
@@ -46,6 +50,7 @@ from repro.obs.metrics import (
     to_prometheus,
 )
 from repro.daemon.protocol import (
+    JobRecord,
     JobRequest,
     ProtocolError,
     error_payload,
@@ -71,6 +76,9 @@ _STATUS_TEXT = {
 #: Upper bound on request bodies (sources are text; 8 MiB is generous).
 MAX_BODY_BYTES = 8 * 1024 * 1024
 MAX_HEADER_LINES = 100
+#: Longest a ``GET /jobs/<id>?wait=S`` is held: a client that wants to wait
+#: longer asks again.
+MAX_WAIT_SECONDS = 30.0
 
 
 @dataclass
@@ -207,6 +215,7 @@ class VerifyDaemon:
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
         started = time.perf_counter()
+        held = 0.0  # seconds a held job read waited, not timed as handling
         status = 500
         method = path = "?"
         try:
@@ -214,6 +223,11 @@ class VerifyDaemon:
             if parsed is None:
                 return  # client closed before sending a request line
             method, path, headers, body = parsed
+            hold = self._held_read(method, path)
+            if hold is not None:
+                holding = time.perf_counter()
+                await self.queue.wait_ended(*hold)
+                held = time.perf_counter() - holding
             status, content_type, payload = self._route(method, path, headers, body)
         except _HttpError as error:
             status, content_type, payload = (
@@ -249,7 +263,7 @@ class VerifyDaemon:
                 REQUEST_LATENCY_BUCKETS,
                 help="HTTP request handling latency",
                 unit="seconds",
-            ).observe(time.perf_counter() - started)
+            ).observe(time.perf_counter() - started - held)
 
     async def _read_request(
         self, reader: asyncio.StreamReader
@@ -306,6 +320,33 @@ class VerifyDaemon:
         return head.encode("latin-1") + payload
 
     # -- routing -----------------------------------------------------------------
+
+    def _held_read(self, method: str, path: str) -> Optional[Tuple[JobRecord, float]]:
+        """The job a ``GET /jobs/<id>?wait=S`` waits for and the seconds it
+        may wait, or ``None`` when the request is answered at once (no
+        ``wait``, ``wait=0``, an unknown id or a job that has ended)."""
+        path, _, query = path.partition("?")
+        if method != "GET" or not path.startswith("/jobs/"):
+            return None
+        values = urllib.parse.parse_qs(query, keep_blank_values=True).get("wait")
+        if values is None:
+            return None
+        try:
+            seconds = float(values[-1])
+        except ValueError:
+            seconds = math.nan
+        if not (math.isfinite(seconds) and seconds >= 0):
+            raise _HttpError(
+                400,
+                error_payload(
+                    "BAD_REQUEST",
+                    f"'wait' must be a finite number of seconds >= 0, not {values[-1]!r}",
+                ),
+            )
+        record = self.queue.get(path[len("/jobs/"):])
+        if record is None or not record.active or not seconds:
+            return None
+        return record, min(seconds, MAX_WAIT_SECONDS)
 
     def _route(
         self, method: str, path: str, headers: Dict[str, str], body: bytes

@@ -22,7 +22,6 @@ stay monotone.
 
 from __future__ import annotations
 
-import json
 import zlib
 from typing import Callable, Dict, List, Optional
 
@@ -60,7 +59,7 @@ def _session_server(config: Dict[str, object]) -> Callable[[], Callable[[Dict], 
                     extra_sources=tuple(request_dict.get("extra_sources", ())),
                     only=tuple(only) if only is not None else None,
                 )
-                report = json.dumps(verify_job(job, session).to_dict())
+                report = verify_job(job, session).to_json()
                 return {
                     "status": "ok",
                     # Encoded once, here: the daemon keeps these bytes and

@@ -104,21 +104,36 @@ class ProgramTypes:
     functions: Dict[str, FnSig] = field(default_factory=dict)
     structs: Dict[str, ast.StructDef] = field(default_factory=dict)
     enums: Dict[str, ast.EnumDef] = field(default_factory=dict)
+    #: The definition each of the program's entries in ``functions`` was
+    #: made from.
+    definitions: Dict[str, ast.FnDef] = field(default_factory=dict, repr=False, compare=False)
 
     @staticmethod
-    def from_program(program: ast.Program) -> "ProgramTypes":
+    def from_program(
+        program: ast.Program, previous: Optional["ProgramTypes"] = None
+    ) -> "ProgramTypes":
+        """The program's context; a function whose definition is the same
+        object in ``previous``, an earlier version's context, keeps the
+        signature made there (a signature depends on its definition only)."""
         context = ProgramTypes(functions=dict(builtin_signatures()))
         for struct in program.structs:
             context.structs[struct.name] = struct
         for enum in program.enums:
             context.enums[enum.name] = enum
+        known = previous.definitions if previous is not None else {}
+        functions, definitions = context.functions, context.definitions
         for fn in program.functions:
-            context.functions[fn.name] = FnSig(
-                fn.name,
-                tuple(fn.generics),
-                tuple(param.ty for param in fn.params),
-                fn.ret,
-            )
+            name = fn.name
+            if known.get(name) is fn:
+                functions[name] = previous.functions[name]
+            else:
+                functions[name] = FnSig(
+                    name,
+                    tuple(fn.generics),
+                    tuple(param.ty for param in fn.params),
+                    fn.ret,
+                )
+            definitions[name] = fn
         return context
 
     def field_type(self, struct_name: str, field_name: str, args: Tuple[ast.Type, ...]) -> ast.Type:

@@ -6,15 +6,18 @@ cache, and the parallel scheduler.  Each :class:`VerifyJob` is one program
 them against a shared :class:`VerifySession` and returns a structured
 :class:`ServiceReport` that serialises to JSON for the CLI and for clients.
 A session's next job re-parses and re-elaborates only the items that
-changed since its last job (:func:`parse_program`, :func:`verify_job`).
+changed since its last job (:func:`parse_program`, :func:`verify_job`), and
+reuses the report row, JSON text included, of every cached function whose
+row cannot have changed (:meth:`JobReport.to_json`).
 """
 
 from __future__ import annotations
 
 import dataclasses
+import json
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.core.errors import FluxError
 from repro.core.genv import GlobalEnv
@@ -42,13 +45,14 @@ class VerifyJob:
     only: Optional[Tuple[str, ...]] = None
 
 
-@dataclass
+@dataclass(frozen=True)
 class FunctionReport:
     """Per-function slice of a job report (one row of the JSON output).
 
     ``diagnostics`` holds the human-readable one-liners; ``failures`` the
     structured records (obligation tag, source span, signature span and the
-    counterexample valuation) for tooling.
+    counterexample valuation) for tooling.  A row is never changed once
+    built: a warm session's next report may hold the same row object.
     """
 
     name: str
@@ -83,6 +87,14 @@ class FunctionReport:
             "failures": [dict(failure) for failure in self.failures],
         }
 
+    def to_json(self) -> str:
+        """``json.dumps(self.to_dict())``, encoded on the first call only."""
+        text = self.__dict__.get("_json")
+        if text is None:
+            text = json.dumps(self.to_dict())
+            object.__setattr__(self, "_json", text)
+        return text
+
 
 @dataclass
 class JobReport:
@@ -104,17 +116,31 @@ class JobReport:
     result: Optional[VerificationResult] = None  # full result, not serialised
 
     def to_dict(self) -> Dict[str, object]:
-        payload: Dict[str, object] = {
+        payload = self._head()
+        payload["functions"] = [fn.to_dict() for fn in self.functions]
+        if self.error is not None:
+            payload["error"] = self.error
+        return payload
+
+    def to_json(self) -> str:
+        """``json.dumps(self.to_dict())``, spliced from each row's
+        :meth:`FunctionReport.to_json`, so a reused row is not encoded
+        again (the text the daemon worker sends)."""
+        text = json.dumps(self._head())[:-1]
+        text += ', "functions": [' + ", ".join(fn.to_json() for fn in self.functions) + "]"
+        if self.error is not None:
+            text += ', "error": ' + json.dumps(self.error)
+        return text + "}"
+
+    def _head(self) -> Dict[str, object]:
+        """The ``to_dict`` keys before ``functions``, in order."""
+        return {
             "name": self.name,
             "ok": self.ok,
             "time": round(self.time, 6),
             "cache_hits": self.cache_hits,
             "cache_misses": self.cache_misses,
-            "functions": [fn.to_dict() for fn in self.functions],
         }
-        if self.error is not None:
-            payload["error"] = self.error
-        return payload
 
 
 @dataclass
@@ -157,10 +183,44 @@ class ServiceReport:
         }
 
 
+class CachedRow(NamedTuple):
+    """A function served from the result cache, as its job reported it.
+
+    Its row depends only on the result :meth:`ResultCache.get` returned
+    and, when that result has diagnostics, on the lines they were moved
+    by.  So a warm session keeps the last job's (:attr:`ItemMemo.rows`),
+    and a job whose lookup returns the same object, moved by the same
+    lines if it has diagnostics, reuses ``result`` and ``row``, the row's
+    JSON text included.
+    """
+
+    #: What the cache returned, spans counted from the ``fn`` line.
+    cached: FunctionResult
+    #: The lines ``result`` moved its diagnostics by.
+    lines: int
+    result: FunctionResult
+    row: FunctionReport
+
+
 def _function_status(result: FunctionResult) -> str:
     if result.trusted:
         return "trusted"
     return "ok" if result.ok else "error"
+
+
+def _report_row(name: str, result: FunctionResult, cached: bool) -> FunctionReport:
+    diagnostics = result.diagnostics
+    return FunctionReport(
+        name=name,
+        status=_function_status(result),
+        cached=cached,
+        time=result.time,
+        num_constraints=result.num_constraints,
+        num_kvars=result.num_kvars,
+        metrics=dict(result.metrics),
+        diagnostics=[str(diag) for diag in diagnostics] if diagnostics else [],
+        failures=[diag.to_dict() for diag in diagnostics] if diagnostics else [],
+    )
 
 
 def verify_job(job: VerifyJob, session: VerifySession) -> JobReport:
@@ -245,7 +305,7 @@ def _verify_job_active(job: VerifyJob, session: VerifySession) -> JobReport:
         with obs_span("spec_elaboration", job=job.name):
             genv = GlobalEnv()
             genv.register_program(program, previous=memo.genv)
-            rust_context = ProgramTypes.from_program(program)
+            rust_context = ProgramTypes.from_program(program, previous=memo.types)
     except (FluxError, ParseError, LexError) as error:
         return JobReport(
             name=job.name,
@@ -258,20 +318,23 @@ def _verify_job_active(job: VerifyJob, session: VerifySession) -> JobReport:
     # Split targets into trusted, cache hits, and work for the scheduler.
     # Spans: a function's parse counts lines from its item run's first line
     # (``offsets`` moves them to the source's), and the result cache keeps
-    # them counted from the function's ``fn`` line.
-    ordered: List[Tuple[str, Optional[FunctionResult], bool, int]] = []  # (name, result, cached, lines)
+    # them counted from the function's ``fn`` line.  Entries are (name,
+    # result, row, lines); the scheduler's have no result or row yet.
+    ordered: List[Tuple[str, Optional[FunctionResult], Optional[FunctionReport], int]] = []
     keys: Dict[str, str] = {}
     callee_deps: Dict[str, Tuple[str, ...]] = {}
     pending: List[str] = []
     tables = KeyTables(program, genv, previous=memo.tables) if session.cache.enabled else None
-    memo.genv, memo.tables = genv, tables
+    memo.genv, memo.types, memo.tables = genv, rust_context, tables
+    last_rows, rows = memo.rows, {}
     only, signatures = job.only, genv.signatures
     for fn, lines in zip(program.functions, offsets):
         name = fn.name
         if only is not None and name not in only:
             continue
         if fn.body is None or signatures[name].trusted:
-            ordered.append((name, FunctionResult(name=name, ok=True, trusted=True), False, 0))
+            result = FunctionResult(name=name, ok=True, trusted=True)
+            ordered.append((name, result, _report_row(name, result, False), 0))
             continue
         deps = genv.function_dependencies(fn)
         callee_deps[name] = deps[0]
@@ -283,10 +346,19 @@ def _verify_job_active(job: VerifyJob, session: VerifySession) -> JobReport:
             keys[name] = key
             cached = session.cache.get(key)
         if cached is not None:
-            ordered.append((name, _moved(cached, fn.line + lines), True, 0))
+            shift = fn.line + lines
+            kept = last_rows.get(key)
+            if kept is None or kept.cached is not cached or (
+                cached.diagnostics and kept.lines != shift
+            ):
+                result = _moved(cached, shift)
+                kept = CachedRow(cached, shift, result, _report_row(name, result, True))
+            rows[key] = kept
+            ordered.append((name, kept.result, kept.row, 0))
         else:
-            ordered.append((name, None, False, lines))
+            ordered.append((name, None, None, lines))
             pending.append(name)
+    memo.rows = rows
 
     fresh = verify_functions(
         program,
@@ -317,24 +389,12 @@ def _verify_job_active(job: VerifyJob, session: VerifySession) -> JobReport:
 
     verification = VerificationResult()
     report = JobReport(name=job.name, ok=True, time=0.0)
-    for name, result, cached, lines in ordered:
+    for name, result, row, lines in ordered:
         if result is None:
             result = _moved(fresh[name][0], lines)
+            row = _report_row(name, result, False)
         verification.add(result)
-        diagnostics = result.diagnostics
-        report.functions.append(
-            FunctionReport(
-                name=name,
-                status=_function_status(result),
-                cached=cached,
-                time=result.time,
-                num_constraints=result.num_constraints,
-                num_kvars=result.num_kvars,
-                metrics=dict(result.metrics),
-                diagnostics=[str(diag) for diag in diagnostics] if diagnostics else [],
-                failures=[diag.to_dict() for diag in diagnostics] if diagnostics else [],
-            )
-        )
+        report.functions.append(row)
     verification.time = time.perf_counter() - started
     report.time = verification.time
     report.ok = verification.ok

@@ -4,8 +4,9 @@ A :class:`VerifySession` owns a verification run's mutable state, which
 module-level globals would share between runs: the SMT answer cache (an
 :class:`repro.smt.SmtContext`), the per-function result cache, and the
 observability context (metrics registry, span tracer, solver event log).
-It also keeps the last job's front end (:class:`ItemMemo`), so that an
-edit re-parses and re-elaborates only the items it changed.
+It also keeps what the last job made (:class:`ItemMemo`), so that an
+edit re-parses and re-elaborates only the items it changed, and re-builds
+only the report rows it changed.
 Two sessions never share mutable state, which is what makes it safe to run
 several verifications concurrently in one process — and what lets worker
 processes each build their own context without trampling a shared one.
@@ -21,14 +22,18 @@ import gc
 import threading
 import time
 from contextlib import contextmanager
-from typing import Dict, Iterator, Optional
+from typing import TYPE_CHECKING, Dict, Iterator, Optional
 
 from repro.core.genv import GlobalEnv
 from repro.lang import ast
+from repro.mir.typeinfer import ProgramTypes
 from repro.obs import MetricsRegistry, ObsContext, use_obs
 from repro.smt import SmtContext, use_context
 
 from repro.service.cache import KeyTables, ResultCache
+
+if TYPE_CHECKING:  # import cycle: the api module builds on sessions
+    from repro.service.api import CachedRow
 
 #: Generation-0 threshold of the cyclic garbage collector while a session is
 #: active (CPython's default is 700).  A verification builds long-lived,
@@ -49,6 +54,13 @@ class _CollectorScope:
     removes the timer and returns the pause seconds summed meanwhile.  The
     timer only adds to a float: a collection can start while the same
     thread iterates a metrics registry, so it must not touch one.
+
+    More young objects than the found generation-0 threshold may be
+    pending when the period ends.  Once that threshold is back they start
+    a collection at the next allocation (or, on interpreters that defer
+    collections, at the next eval-loop check), which may be after the
+    timer is gone; so that exit runs the generation-0 collection itself,
+    before it restores the threshold and while the timer still runs.
     """
 
     def __init__(self) -> None:
@@ -80,6 +92,8 @@ class _CollectorScope:
             self._depth -= 1
             if self._depth:
                 return None
+            if gc.isenabled() and 0 < self._saved[0] < gc.get_count()[0]:
+                gc.collect(0)
             gc.set_threshold(*self._saved)
             gc.callbacks.remove(self._time)
             return self._paused
@@ -89,23 +103,29 @@ _COLLECTOR = _CollectorScope()
 
 
 class ItemMemo:
-    """What the last job's front end made, for the next job to reuse.
+    """What the last job made, for the next job to reuse.
 
     ``items`` maps the exact text of each item run
     (:func:`repro.lang.split_items`) to its parse, line numbers counted
     from the run's first line; an unchanged run is not parsed again, so its
     functions are the same objects in the next job.  ``genv`` is the last
     job's elaborated environment (see
-    :meth:`~repro.core.genv.GlobalEnv.register_program`) and ``tables`` its
-    cache-key tables (:class:`repro.service.cache.KeyTables`), which reuse
-    what they derived from those same objects.  It holds one job's worth,
-    and assumes the session verifies one job at a time.
+    :meth:`~repro.core.genv.GlobalEnv.register_program`), ``types`` its
+    Rust-level signatures (:meth:`repro.mir.typeinfer.ProgramTypes.from_program`)
+    and ``tables`` its cache-key tables
+    (:class:`repro.service.cache.KeyTables`), which reuse what they derived
+    from those same objects.  ``rows`` maps the cache key of each function
+    the last job served from the result cache to its report row
+    (:class:`repro.service.api.CachedRow`).  It holds one job's worth, and
+    assumes the session verifies one job at a time.
     """
 
     def __init__(self) -> None:
         self.items: Dict[str, ast.Program] = {}
         self.genv: Optional[GlobalEnv] = None
+        self.types: Optional[ProgramTypes] = None
         self.tables: Optional[KeyTables] = None
+        self.rows: Dict[str, "CachedRow"] = {}
 
 
 class VerifySession:

@@ -9,6 +9,7 @@ import re
 import socket
 import threading
 import time
+import urllib.error
 import urllib.request
 import zlib
 from typing import Dict
@@ -548,6 +549,161 @@ class TestDaemonEndToEnd:
             second = client.verify(daemon.url, INC, name="two")
             assert second["report"]["cache_hits"] == 1
             assert second["report"]["cache_misses"] == 0
+
+
+# ---------------------------------------------------------------------------
+# Held reads: GET /jobs/<id>?wait=S
+# ---------------------------------------------------------------------------
+
+
+def _get(url: str, path: str):
+    """One plain GET: ``(status, body, seconds)``."""
+    started = time.monotonic()
+    try:
+        with urllib.request.urlopen(url + path, timeout=60) as response:
+            return response.status, response.read(), time.monotonic() - started
+    except urllib.error.HTTPError as error:
+        return error.code, error.read(), time.monotonic() - started
+
+
+def _held_read(daemon, job_id: str):
+    """Start ``GET /jobs/<id>?wait=30`` on a thread and return once the
+    daemon holds it; the thread appends its ``_get`` result to the list."""
+    answers = []
+    reader = threading.Thread(
+        target=lambda: answers.append(_get(daemon.url, f"/jobs/{job_id}?wait=30"))
+    )
+    reader.start()
+    deadline = time.monotonic() + 10
+    while job_id not in daemon.daemon.queue._ended:
+        assert time.monotonic() < deadline, "the read was not held"
+        time.sleep(0.005)
+    return reader, answers
+
+
+class TestHeldWaits:
+    def test_finished_job_answers_at_once(self):
+        with run_daemon() as daemon:
+            job_id = client.submit(daemon.url, BAD, name="done")
+            client.wait(daemon.url, job_id)
+            status, body, seconds = _get(daemon.url, f"/jobs/{job_id}?wait=30")
+            plain = _get(daemon.url, f"/jobs/{job_id}")[1]
+        assert status == 200 and seconds < 5
+        assert body == plain
+        assert json.loads(body)["state"] == "done"
+
+    def test_running_job_is_answered_by_one_held_read_when_it_ends(self):
+        plan = _plan(
+            faults.FaultSpec(site="daemon.job", kind="hang", match="slow", delay=0.5)
+        )
+        with faults.inject_faults(plan), run_daemon() as daemon:
+            job_id = client.submit(daemon.url, INC, name="slow")
+            status, body, seconds = _get(daemon.url, f"/jobs/{job_id}?wait=30")
+            record = daemon.daemon.queue.get(job_id)
+        assert status == 200
+        assert 0.3 < seconds < 10  # held until the job ended, not the cap
+        assert json.loads(body)["state"] == "done"
+        assert body == json.dumps(record.to_dict()).encode("utf-8")
+
+    def test_short_wait_returns_the_running_record(self):
+        plan = _plan(
+            faults.FaultSpec(site="daemon.job", kind="hang", match="long", delay=1.5)
+        )
+        with faults.inject_faults(plan), run_daemon(drain_timeout=10.0) as daemon:
+            job_id = client.submit(daemon.url, INC, name="long")
+            while client.status(daemon.url, job_id)["state"] != "running":
+                time.sleep(0.01)
+            status, body, seconds = _get(daemon.url, f"/jobs/{job_id}?wait=0.05")
+        assert status == 200
+        assert json.loads(body)["state"] == "running"
+        assert 0.04 <= seconds < 1.0
+
+    def test_bad_wait_is_400_and_unknown_job_is_404_at_once(self):
+        with run_daemon() as daemon:
+            job_id = client.submit(daemon.url, INC, name="one")
+            for value in ("abc", "-1", "-0.5", "nan", "inf", "1e400", ""):
+                status, body, _ = _get(daemon.url, f"/jobs/{job_id}?wait={value}")
+                assert status == 400, value
+                assert json.loads(body)["error"]["kind"] == "BAD_REQUEST"
+            status, body, seconds = _get(daemon.url, "/jobs/job-999999-cafebabe?wait=30")
+        assert status == 404
+        assert json.loads(body)["error"]["kind"] == "NOT_FOUND"
+        assert seconds < 5
+
+    def test_retried_job_wakes_its_readers_at_its_final_state(self):
+        # The first attempt hangs, then its worker dies; the held read
+        # stays held through the retry and answers with the final record.
+        plan = _plan(
+            faults.FaultSpec(site="daemon.job", kind="hang", match="flaky", delay=0.3),
+            faults.FaultSpec(site="daemon.job", kind="crash", match="flaky", attempts=1),
+        )
+        with faults.inject_faults(plan), run_daemon() as daemon:
+            job_id = client.submit(daemon.url, INC, name="flaky")
+            status, body, seconds = _get(daemon.url, f"/jobs/{job_id}?wait=30")
+        record = json.loads(body)
+        assert (record["state"], record["attempts"]) == ("done", 2)
+        assert 0.5 < seconds < 10  # both attempts' hangs
+
+    def test_held_read_is_answered_when_the_daemon_stops(self):
+        # With no worker the job never runs: shutdown fails it, which
+        # answers the held read, and serve() returns.
+        with run_daemon(workers=0, drain_timeout=0.2) as daemon:
+            job_id = client.submit(daemon.url, INC, name="stuck")
+            reader, answers = _held_read(daemon, job_id)
+            handle = daemon
+        reader.join(timeout=10)
+        assert not handle.thread.is_alive()
+        assert not reader.is_alive()
+        status, body, seconds = answers[0]
+        assert seconds < 10
+        record = json.loads(body)
+        assert (status, record["state"]) == (200, "failed")
+        assert record["error"]["kind"] == "SHUTTING_DOWN"
+
+    def test_held_read_is_answered_when_a_draining_daemon_ends_the_job(self):
+        plan = _plan(
+            faults.FaultSpec(site="daemon.job", kind="hang", match="inflight", delay=0.5)
+        )
+        with faults.inject_faults(plan), run_daemon() as daemon:
+            job_id = client.submit(daemon.url, INC, name="inflight")
+            reader, answers = _held_read(daemon, job_id)
+            handle = daemon
+        reader.join(timeout=10)
+        assert not handle.thread.is_alive()
+        status, body, seconds = answers[0]
+        assert (status, json.loads(body)["state"]) == (200, "done")
+        assert seconds < 10
+
+    def test_request_seconds_time_the_handling_not_the_hold(self):
+        plan = _plan(
+            faults.FaultSpec(site="daemon.job", kind="hang", match="slow", delay=0.5)
+        )
+        with faults.inject_faults(plan), run_daemon() as daemon:
+            job_id = client.submit(daemon.url, INC, name="slow")
+            _, _, seconds = _get(daemon.url, f"/jobs/{job_id}?wait=30")
+            handle = daemon
+        timed = handle.daemon.registry.snapshot()["daemon.request_seconds"]
+        assert 0.3 < seconds < 10
+        assert timed["count"] == 2  # the submission and the held read
+        assert timed["sum"] < 0.25
+
+    def test_client_wait_is_one_held_read(self, monkeypatch):
+        plan = _plan(
+            faults.FaultSpec(site="daemon.job", kind="hang", match="slow", delay=0.3)
+        )
+        reads = []
+        status = client.status
+
+        def counted(*args, **kwargs):
+            reads.append(kwargs.get("wait"))
+            return status(*args, **kwargs)
+
+        monkeypatch.setattr(client, "status", counted)
+        with faults.inject_faults(plan), run_daemon() as daemon:
+            job_id = client.submit(daemon.url, INC, name="slow")
+            record = client.wait(daemon.url, job_id, timeout=60, poll_interval=0.01)
+        assert record["state"] == "done"
+        assert len(reads) == 1 and 59 < reads[0] <= 60
 
 
 # ---------------------------------------------------------------------------

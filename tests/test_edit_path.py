@@ -30,6 +30,7 @@ from repro.fuzz.generator import crate_seed, generate_crate
 from repro.lang import LexError, ParseError, ast, parse_program, split_items
 from repro.lang.span import Span
 from repro.logic import intern_stats
+from repro.mir.typeinfer import ProgramTypes
 from repro.service import VerifyJob, VerifySession, verify_jobs, verify_source
 from repro.service import api
 from repro.service.cache import KeyTables, function_key
@@ -325,6 +326,26 @@ def test_dependencies_carry_over_only_while_the_names_are_the_same():
     later = GlobalEnv()
     later.register_program(grown, previous=again)
     assert {"S::get", "T::get"} <= set(later.function_dependencies(user)[0])
+
+
+def test_program_types_reuse_the_signatures_of_unchanged_definitions():
+    functions = _stress_crate().functions[:60]
+    edits = EditSequence(functions, 7)
+    memo = ItemMemo()
+    previous = None
+    sources = ["\n".join(fn.source for fn in functions)] + [edits.next().source for _ in range(6)]
+    for source in sources:
+        program, _ = api.parse_program(source, memo)
+        types = ProgramTypes.from_program(program, previous=previous)
+        assert types.functions == ProgramTypes.from_program(program).functions
+        if previous is not None:
+            for fn in program.functions:
+                kept = previous.definitions.get(fn.name) is fn
+                assert (types.functions[fn.name] is previous.functions[fn.name]) == kept
+            assert sum(previous.definitions.get(fn.name) is fn for fn in program.functions) >= 58
+        previous = types
+    # Only the current program's definitions are kept.
+    assert set(map(id, previous.definitions.values())) == set(map(id, program.functions))
 
 
 # -- cache keys -----------------------------------------------------------------

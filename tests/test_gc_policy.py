@@ -157,3 +157,49 @@ def test_pause_seconds_are_recorded_for_a_table1_program():
     entry = report.metrics["gc.pause_seconds"]
     assert (entry["kind"], entry["unit"]) == ("counter", "seconds")
     assert entry["value"] > 0
+
+
+def test_exit_runs_the_pending_young_collection_under_the_timer(found):
+    # More young objects than the found threshold are pending when the
+    # period ends: the exit collects them itself, under the session's
+    # policy and timer, instead of leaving the collection to whichever
+    # allocation or eval-loop check comes after the threshold is back.
+    starts = []
+
+    def note(phase, info):
+        if phase == "start":
+            starts.append(gc.get_threshold()[0])
+
+    session = VerifySession()
+    gc.callbacks.append(note)
+    try:
+        with session.activate():
+            kept = [[] for _ in range(2 * found[0])]
+            during = len(starts)
+        exited = starts[during:]
+        more = [[] for _ in range(found[0] // 2)]
+        after = starts[during + len(exited):]
+    finally:
+        gc.callbacks.remove(note)
+    assert len(kept) + len(more) > found[0]
+    assert exited == [GC_THRESHOLD]
+    assert after == []  # none once the period ended
+    assert session.metrics.value("gc.pause_seconds") > 0
+
+
+def test_exit_leaves_a_disabled_collector_alone(found):
+    runs = []
+
+    def note(phase, info):
+        if phase == "start":
+            runs.append(info["generation"])
+
+    gc.disable()
+    gc.callbacks.append(note)
+    try:
+        with VerifySession().activate():
+            kept = [[] for _ in range(2 * found[0])]
+    finally:
+        gc.callbacks.remove(note)
+        gc.enable()
+    assert kept and runs == []
